@@ -8,10 +8,12 @@ algebra kernel:
 - ``schur``: the Schur complement S(A, V) of a PSD matrix relative to a
   subspace, its block-formula twin, the variational identity and the unique
   splitting A = S + (A - S);
-- ``hamburger`` / ``stieltjes``: classification of finite moment sequences on
-  the line and on a half line [alpha, oo): nonnegative definiteness,
-  extendability, the admissible interval for the last block, and canonical
-  class representatives.
+- ``hamburger``: the block Hankel ``Tower`` engine, which computes
+  nonnegative definiteness, extendability, the admissible interval for the
+  last block and the class test once for both moment problems, and the
+  public functions of the problem on the line; ``stieltjes`` runs the
+  problem on a half line [alpha, oo) on the same engine, with a second,
+  shifted tower.
 
 A JSON command line front end lives in ``cli`` (entry point ``momentschur``).
 """
@@ -72,7 +74,6 @@ from .hamburger import (
     z_block,
 )
 from .stieltjes import (
-    StieltjesContext,
     StieltjesReport,
     alpha_shift,
     canonical_rep_stieltjes,
@@ -104,7 +105,6 @@ __all__ = [
     "SchurResult",
     "ShapeMismatch",
     "SplitInvalid",
-    "StieltjesContext",
     "StieltjesReport",
     "Subspace",
     "Tolerance",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -24,14 +25,7 @@ from .errors import (
     ShapeMismatch,
     TooShort,
 )
-from .hamburger import (
-    _class_conditions as _hamburger_conditions,
-    classify_hamburger,
-    in_extension_interval,
-    r_upper,
-    same_class,
-    theta,
-)
+from .hamburger import MomentSequence, Tower, classify_hamburger
 from .jsonio import (
     dumps,
     loads,
@@ -53,14 +47,7 @@ from .linalg import (
     subspace_from_columns,
 )
 from .schur import schur_complement
-from .stieltjes import (
-    _class_conditions as _stieltjes_conditions,
-    classify_stieltjes,
-    in_extension_interval_stieltjes,
-    r_upper_stieltjes,
-    same_class_stieltjes,
-    u_lower,
-)
+from .stieltjes import classify_stieltjes
 
 
 def _read_json(path: str):
@@ -82,10 +69,7 @@ def _tolerance(args) -> Tolerance:
 def _resolve_alpha(args, *file_alphas):
     if args.alpha is not None:
         return float(args.alpha)
-    for a in file_alphas:
-        if a is not None:
-            return a
-    return None
+    return next((a for a in file_alphas if a is not None), None)
 
 
 def cmd_schur(args) -> dict:
@@ -120,43 +104,29 @@ def cmd_schur(args) -> dict:
     }
 
 
+def _report(command: str, t: Tolerance, **fields) -> dict:
+    """A moment report in JSON form; ``alpha`` is given only on the half line."""
+    alpha = fields.get("alpha")
+    mode = "hamburger" if alpha is None else "stieltjes"
+    report = {"command": command, "mode": mode, "tolerance": t.eps_rel}
+    for name, value in fields.items():
+        if isinstance(value, MomentSequence):
+            value = sequence_json(value, alpha)
+        elif isinstance(value, np.ndarray):
+            value = matrix_json(value)
+        elif isinstance(value, tuple):
+            value = [matrix_json(v) for v in value]
+        if name != "alpha" or value is not None:
+            report[name] = value
+    return report
+
+
 def cmd_classify(args) -> dict:
     t = _tolerance(args)
     seq, file_alpha = parse_sequence_file(_read_json(args.input))
     alpha = _resolve_alpha(args, file_alpha)
-    if alpha is None:
-        rep = classify_hamburger(seq, t)
-        return {
-            "command": "classify",
-            "mode": "hamburger",
-            "tolerance": t.eps_rel,
-            "q": rep.q,
-            "n": rep.n,
-            "is_hnnd": rep.is_hnnd,
-            "is_hnnde": rep.is_hnnde,
-            "theta": matrix_json(rep.theta),
-            "L": matrix_json(rep.L),
-            "L_prev": matrix_json(rep.L_prev) if rep.L_prev is not None else None,
-            "R": matrix_json(rep.R) if rep.R is not None else None,
-            "canonical": sequence_json(rep.canonical) if rep.canonical is not None else None,
-        }
-    rep = classify_stieltjes(seq, alpha, t)
-    return {
-        "command": "classify",
-        "mode": "stieltjes",
-        "tolerance": t.eps_rel,
-        "q": rep.q,
-        "m": rep.m,
-        "alpha": rep.alpha,
-        "is_knnd": rep.is_knnd,
-        "is_knnde": rep.is_knnde,
-        "kappa": [matrix_json(k) for k in rep.kappa],
-        "u": [matrix_json(u) for u in rep.u],
-        "R": matrix_json(rep.R) if rep.R is not None else None,
-        "canonical": (
-            sequence_json(rep.canonical, alpha) if rep.canonical is not None else None
-        ),
-    }
+    rep = classify_hamburger(seq, t) if alpha is None else classify_stieltjes(seq, alpha, t)
+    return _report("classify", t, **{f.name: getattr(rep, f.name) for f in fields(rep)})
 
 
 def cmd_interval(args) -> dict:
@@ -164,37 +134,11 @@ def cmd_interval(args) -> dict:
     seq, file_alpha = parse_sequence_file(_read_json(args.input))
     alpha = _resolve_alpha(args, file_alpha)
     T = parse_matrix(_read_json(args.last), scalar_ok=True)
-    if alpha is None:
-        n = seq.kappa // 2
-        bound = "given_s2n" if args.bound == "given" else "r_upper"
-        member = in_extension_interval(seq, T, bound, t)
-        lower = theta(seq, n, t)
-        upper = seq[2 * n] if args.bound == "given" else r_upper(seq, n, t)
-        report = {
-            "command": "interval",
-            "mode": "hamburger",
-            "tolerance": t.eps_rel,
-            "q": seq.q,
-            "bound": args.bound,
-        }
-    else:
-        m = seq.kappa
-        bound = "given_sm" if args.bound == "given" else "r_upper"
-        member = in_extension_interval_stieltjes(seq, alpha, T, bound, t)
-        lower = u_lower(seq, alpha, m - 1, t)
-        upper = seq[m] if args.bound == "given" else r_upper_stieltjes(seq, alpha, m, t)
-        report = {
-            "command": "interval",
-            "mode": "stieltjes",
-            "tolerance": t.eps_rel,
-            "q": seq.q,
-            "alpha": alpha,
-            "bound": args.bound,
-        }
-    report["lower"] = matrix_json(lower)
-    report["upper"] = matrix_json(upper)
-    report["member"] = member
-    return report
+    tower = Tower(seq, t, alpha)
+    bound = tower.given if args.bound == "given" else "r_upper"
+    lower, upper, member = tower.interval(T, bound)
+    return _report("interval", t, q=seq.q, alpha=alpha, bound=args.bound,
+                   lower=lower, upper=upper, member=member)
 
 
 def cmd_class_test(args) -> dict:
@@ -202,32 +146,10 @@ def cmd_class_test(args) -> dict:
     s, alpha_s = parse_sequence_file(_read_json(args.input_s))
     r, alpha_r = parse_sequence_file(_read_json(args.input_r))
     alpha = _resolve_alpha(args, alpha_s, alpha_r)
-    if alpha is None:
-        verdict = same_class(s, r, t)
-        prefix_equal, diff_psd, diff_disjoint = _hamburger_conditions(s, r, t)
-        report = {
-            "command": "class-test",
-            "mode": "hamburger",
-            "tolerance": t.eps_rel,
-            "q": s.q,
-        }
-    else:
-        verdict = same_class_stieltjes(s, r, alpha, t)
-        prefix_equal, diff_psd, diff_disjoint = _stieltjes_conditions(s, r, alpha, t)
-        report = {
-            "command": "class-test",
-            "mode": "stieltjes",
-            "tolerance": t.eps_rel,
-            "q": s.q,
-            "alpha": alpha,
-        }
-    report["checks"] = {
-        "prefix_equal": prefix_equal,
-        "difference_psd": diff_psd,
-        "difference_range_disjoint": diff_disjoint,
-    }
-    report["same_class"] = verdict
-    return report
+    checks = Tower(s, t, alpha).conditions(r)
+    names = ("prefix_equal", "difference_psd", "difference_range_disjoint")
+    return _report("class-test", t, q=s.q, alpha=alpha, checks=dict(zip(names, checks)),
+                   same_class=all(checks))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,20 +1,25 @@
-"""Block-Hankel classification of finite matricial moment sequences.
+"""Block-Hankel towers of matricial moment sequences, and the Hamburger problem.
 
 A sequence (s_0, ..., s_{2n}) of q x q blocks is *nonnegative definite* when
 the block Hankel matrix H_n = [s_{j+k}]_{j,k=0..n} is PSD, and *extendably*
 so when some longer nonnegative definite sequence begins with it.  The lowest
-admissible last block is Theta_n = z H_{n-1}^+ y (built from the strip
-s_n .. s_{2n-1}); the slack L_n = s_{2n} - Theta_n and the Schur complement of
-L_n relative to ran L_{n-1} give the tight upper bound
+admissible block at index 2n is Theta_n = z H_{n-1}^+ y (built from the strip
+s_n .. s_{2n-1}), and the slack L_n = s_{2n} - Theta_n together with the
+Schur complement of L_n relative to ran L_{n-1} gives the tight upper bound
 R_n = Theta_n + S(L_n, ran L_{n-1}).  Candidates t for the last block then
 form the matricial interval [Theta_n, s_{2n}] (nonnegative definite) or
 [Theta_n, R_n] (extendable), and replacing s_{2n} by R_n yields the canonical
 representative of the class of sequences sharing every extension behaviour.
+
+``Tower`` computes all of this once for both moment problems; the Hamburger
+functions below, and the stieltjes module's, are thin wrappers around it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -23,6 +28,7 @@ from .errors import (
     IndexOutOfRange,
     NotHermitian,
     NotHNND,
+    NotKNND,
     NotPSD,
     OddOrderUnsupported,
     ShapeMismatch,
@@ -30,6 +36,7 @@ from .errors import (
 )
 from .linalg import (
     Array,
+    Tolerance,
     as_matrix,
     as_tolerance,
     frobenius,
@@ -179,58 +186,226 @@ def theta(s, n: int, tol=None) -> Array:
     return raw
 
 
+class Tower:
+    """The Hankel towers of one moment problem, each quantity computed once.
+
+    With ``alpha`` None it is the Hamburger problem: the plain tower, with a
+    slack at every even index.  Otherwise it is the Stieltjes problem on
+    [alpha, oo): the shifted tower joins in and every index holds a slack.
+    A tower serves one public call; it keeps every Theta_k, Hankel verdict
+    and clipped slack pair it computes.  The README's "One engine for both
+    moment problems" sets out u, kappa and R.
+    """
+
+    def __init__(self, s, tol=None, alpha=None):
+        self.s = MomentSequence.coerce(s)
+        self.tol = tol
+        self.alpha = alpha
+        problem = _PROBLEMS[alpha is None]
+        self.step, self.given, self._not_nnd, self._name, self._too_short = problem
+        self._thetas = {}
+        self._nnds = {}
+        self._clips = {}
+
+    @cached_property
+    def t(self) -> Tolerance:
+        # converted at first use, so that the argument checks a public
+        # function makes before it needs the tolerance keep their precedence
+        return as_tolerance(self.tol)
+
+    @cached_property
+    def shift(self) -> MomentSequence:
+        from .stieltjes import alpha_shift  # the stieltjes module imports this one
+
+        return alpha_shift(self.s, self.alpha)
+
+    @cached_property
+    def _sizes(self) -> list[float]:
+        # max_{j <= i} ||s_j||_F: the block scale of s_0..s_i
+        return list(accumulate((frobenius(b) for b in self.s), max))
+
+    def _scale(self, size: float) -> float:
+        # the working scale of the slacks: shifted blocks reach (1 + |alpha|) size
+        return size if self.alpha is None else (1.0 + abs(self.alpha)) * size
+
+    def top(self) -> int:
+        """The last index m; the plain tower alone needs it even."""
+        if self.s.kappa % self.step:
+            raise OddOrderUnsupported(
+                "Hankel nonnegative definiteness is defined for odd-length sequences "
+                "(s_0..s_2n); use the Stieltjes path or truncate the last block"
+            )
+        return self.s.kappa
+
+    def _theta(self, k: int, shifted: bool = False) -> Array:
+        if (shifted, k) not in self._thetas:
+            self._thetas[shifted, k] = theta(self.shift if shifted else self.s, k, self.t)
+        return self._thetas[shifted, k]
+
+    def u(self, j: int) -> Array:
+        """u_j, the lowest admissible block at index j + 1; u_{-1} = 0."""
+        if j == -1:
+            return np.zeros((self.s.q, self.s.q), dtype=complex)
+        if j % 2 == 1:
+            return self._theta((j + 1) // 2)
+        base = self.alpha * self.s[j]
+        return base if j == 0 else base + self._theta(j // 2, shifted=True)
+
+    def kappa(self, j: int) -> Array:
+        """kappa_j: L_{j/2} of s for even j, L_{(j-1)/2} of the shift for odd j."""
+        if j % 2 == 0:
+            return self.s[j] - self._theta(j // 2)
+        return self.shift[j - 1] - self._theta((j - 1) // 2, shifted=True)
+
+    def nnd(self, m: int) -> bool:
+        """Is s_0..s_m nonnegative definite?
+
+        H_{m//2} of s must be PSD, and on the half line H_{(m-1)//2} of the
+        shift too.
+        """
+        if m not in self._nnds:
+            verdict = psd_verdict(block_hankel(self.s, m // 2), self.t)
+            if verdict and self.alpha is not None and m > 0:
+                verdict = psd_verdict(block_hankel(self.shift, (m - 1) // 2), self.t)
+            self._nnds[m] = verdict
+        return self._nnds[m]
+
+    def _clipped(self, m: int) -> tuple[Array, Array]:
+        # kappa_m and kappa_{m-step} are differences at the block scale of
+        # s_0..s_m and carry its rounding noise, not noise at their own
+        # (possibly tiny) norm; clip before PSD, rank and range verdicts
+        if m not in self._clips:
+            scale = self._scale(self._sizes[m])
+            self._clips[m] = (
+                psd_clip(self.kappa(m), scale, self.t),
+                psd_clip(self.kappa(m - self.step), scale, self.t),
+            )
+        return self._clips[m]
+
+    def nnde(self, m: int) -> bool:
+        """Is s_0..s_m a section of a longer nonnegative definite sequence?
+
+        s_0 alone must be PSD.  At a slack index m > 0, s_0..s_{m-1} must be
+        extendable and kappa_m PSD with ran kappa_m inside ran kappa_{m-step}.
+        At an odd m the plain tower has no slack: the minimal completion
+        s_{m+1} = u_m must leave the sequence nonnegative definite.
+        """
+        if m % self.step:
+            return Tower(self.s.prefix(m + 1).appended(self.u(m)), self.t).nnd(m + 1)
+        if m == 0:
+            return self.nnd(0)
+        if not self.nnde(m - 1):
+            return False
+        try:
+            k_m, k_prev = self._clipped(m)
+        except (NotPSD, NotHermitian):
+            return False
+        return range_included(k_m, k_prev, self.t)
+
+    def r(self, m: int) -> Array:
+        """R_m, the tight upper bound for s_m (R_0 = s_0); s_0..s_m must be nnd."""
+        if not self.nnd(m):
+            raise self._not_nnd(
+                f"the sequence s_0..s_{'2n' if self.step == 2 else 'm'} "
+                f"is not {self._name} nonnegative definite"
+            )
+        if m == 0:
+            return self.s[0]
+        k_m, k_prev = self._clipped(m)
+        V = subspace_from_columns(k_prev, self.t)
+        return self.u(m - 1) + schur_complement(k_m, V, self.t).S
+
+    def interval(self, t_last, bound: str) -> tuple[Array, Array, bool]:
+        """(lower, upper, member) of the admissible interval for the last block.
+
+        lower is u_{m-1}; upper is s_m for ``bound == self.given`` and R_m for
+        "r_upper"; member says whether lower <= t_last <= upper.
+        """
+        t = self.t
+        m = self.top()
+        if not self.nnd(m):
+            raise self._not_nnd(f"the reference sequence is not {self._name} nonnegative definite")
+        T = as_matrix(t_last)
+        q = self.s.q
+        if T.shape != (q, q):
+            raise DimensionMismatch(f"candidate block has shape {T.shape}, expected {(q, q)}")
+        if not is_hermitian(T, t):
+            raise NotHermitian("candidate last block must be Hermitian")
+        lower = self.u(m - 1)
+        if bound == self.given:
+            upper = self.s[m]
+        elif bound == "r_upper":
+            upper = self.r(m)
+        else:
+            raise ValueError(f"bound must be '{self.given}' or 'r_upper'")
+        return lower, upper, loewner_leq(lower, T, t) and loewner_leq(T, upper, t)
+
+    def conditions(self, r) -> tuple[bool, bool, bool]:
+        """The class test against r, one verdict per condition.
+
+        r agrees with s below index m; r_m - R_m is PSD; and ran(r_m - R_m)
+        meets ran kappa_{m-step} only in 0.
+        """
+        s = self.s
+        r = MomentSequence.coerce(r)
+        if len(s) != len(r) or s.q != r.q:
+            raise ShapeMismatch(
+                f"sequences differ in shape: ({len(s)} blocks of size {s.q}) vs "
+                f"({len(r)} blocks of size {r.q})"
+            )
+        m = self.top()
+        if m < self.step:
+            raise TooShort(self._too_short)
+        t = self.t
+        R = self.r(m)
+        prefix_equal = all(
+            frobenius(r[j] - s[j]) <= t.threshold(frobenius(s[j])) for j in range(m)
+        )
+        # judge the differences at the block scale, as the slacks are judged
+        scale = self._scale(max(self._sizes[m], frobenius(r[m])))
+        D = r[m] - R
+        try:
+            D = psd_clip(D, scale, t)
+            difference_psd = True
+        except (NotPSD, NotHermitian):
+            difference_psd = False
+        k_prev = psd_clip(self.kappa(m - self.step), scale, t)
+        return prefix_equal, difference_psd, ranges_intersect_trivially(D, k_prev, t)
+
+
+# Hamburger (True) and Stieltjes: slack step, name of the given bound, the
+# error and wording when not nonnegative definite, and the class test's
+# complaint about too short a sequence
+_PROBLEMS = {
+    True: (2, "given_s2n", NotHNND, "Hankel", "the class test needs kappa = 2n with n >= 1"),
+    False: (1, "given_sm", NotKNND, "Stieltjes", "the class test needs at least two blocks"),
+}
+
+
 def l_matrix(s, n: int, tol=None) -> Array:
     """L_n = s_{2n} - Theta_n; PSD whenever the sequence is nonnegative definite."""
     s = MomentSequence.coerce(s)
     if 2 * n > s.kappa:
         raise IndexOutOfRange(f"l_matrix({n}) needs blocks up to {2 * n}")
-    return s[2 * n] - theta(s, n, tol)
-
-
-def _require_odd_length(s):
-    if len(s) % 2 == 0:
-        raise OddOrderUnsupported(
-            "Hankel nonnegative definiteness is defined for odd-length sequences "
-            "(s_0..s_2n); use the Stieltjes path or truncate the last block"
-        )
+    return Tower(s, tol).kappa(2 * n)
 
 
 def is_hnnd(s, tol=None) -> bool:
     """Is H_n PSD?  Only defined for odd-length sequences (kappa = 2n)."""
-    s = MomentSequence.coerce(s)
-    _require_odd_length(s)
-    return psd_verdict(block_hankel(s, s.kappa // 2), tol)
+    tower = Tower(s, tol)
+    return tower.nnd(tower.top())
 
 
 def is_hnnde(s, tol=None) -> bool:
     """Is the sequence a section of a longer nonnegative definite sequence?
 
-    Recursive test, both parities accepted.  Odd length (kappa = 2n): the
-    even-length prefix must be extendable and L_n must be PSD with
-    ran L_n inside ran L_{n-1}.  Even length: append the candidate
-    s_{2n} := Theta_n (the minimal completion, forcing L_n = 0) and test the
-    completed Hankel matrix.
+    Both parities are accepted.  Odd length (kappa = 2n): the even-length
+    prefix must be extendable and L_n must be PSD with ran L_n inside
+    ran L_{n-1}.  Even length: the candidate s_{2n} := Theta_n (the minimal
+    completion, forcing L_n = 0) must give a nonnegative definite sequence.
     """
-    s = MomentSequence.coerce(s)
-    t = as_tolerance(tol)
-    length = len(s)
-    if length == 1:
-        return psd_verdict(s[0], t)
-    if length % 2 == 1:
-        n = s.kappa // 2
-        if not is_hnnde(s.prefix(length - 1), t):
-            return False
-        # the residuals carry rounding noise at the scale of the blocks
-        # they were subtracted from; clip before PSD and range verdicts
-        scale = max(frobenius(b) for b in s)
-        try:
-            L_n = psd_clip(l_matrix(s, n, t), scale, t)
-            L_prev = psd_clip(l_matrix(s, n - 1, t), scale, t)
-        except (NotPSD, NotHermitian):
-            return False
-        return range_included(L_n, L_prev, t)
-    n = length // 2
-    return is_hnnd(s.appended(theta(s, n, t)), t)
+    tower = Tower(s, tol)
+    return tower.nnde(tower.s.kappa)
 
 
 def r_upper(s, n: int, tol=None) -> Array:
@@ -242,18 +417,8 @@ def r_upper(s, n: int, tol=None) -> Array:
     t = as_tolerance(tol)
     if 2 * n > s.kappa:
         raise IndexOutOfRange(f"r_upper({n}) needs blocks up to {2 * n}")
-    if not is_hnnd(s.prefix(2 * n + 1), t):
-        raise NotHNND("the sequence s_0..s_2n is not Hankel nonnegative definite")
-    if n == 0:
-        return s[0]
-    # the residuals are differences of Hankel-sized quantities, so their
-    # noise floor sits at the Hankel scale, not at their own (possibly
-    # tiny) norm; clip before ranks and Schur complements are taken
-    scale = max(frobenius(s[j]) for j in range(2 * n + 1))
-    L_n = psd_clip(l_matrix(s, n, t), scale, t)
-    L_prev = psd_clip(l_matrix(s, n - 1, t), scale, t)
-    V = subspace_from_columns(L_prev, t)
-    return theta(s, n, t) + schur_complement(L_n, V, t).S
+    # taking the prefix also rejects a negative n
+    return Tower(s.prefix(2 * n + 1), t).r(2 * n)
 
 
 def canonical_rep(s, tol=None) -> MomentSequence:
@@ -262,9 +427,8 @@ def canonical_rep(s, tol=None) -> MomentSequence:
     The result is extendable, lies in the same class as the input, and is the
     unique extendable member of that class.
     """
-    s = MomentSequence.coerce(s)
-    _require_odd_length(s)
-    return s.with_last(r_upper(s, s.kappa // 2, tol))
+    tower = Tower(s, tol)
+    return tower.s.with_last(tower.r(tower.top()))
 
 
 def in_extension_interval(s, t_last, bound: str = "given_s2n", tol=None) -> bool:
@@ -274,49 +438,7 @@ def in_extension_interval(s, t_last, bound: str = "given_s2n", tol=None) -> bool
     last blocks of nonnegative definite sequences below the given one);
     bound="r_upper" tests Theta_n <= t <= R_n (the extendable analogue).
     """
-    s = MomentSequence.coerce(s)
-    t = as_tolerance(tol)
-    _require_odd_length(s)
-    n = s.kappa // 2
-    if not is_hnnd(s, t):
-        raise NotHNND("the reference sequence is not Hankel nonnegative definite")
-    T = as_matrix(t_last)
-    if T.shape != (s.q, s.q):
-        raise DimensionMismatch(f"candidate block has shape {T.shape}, expected {(s.q, s.q)}")
-    if not is_hermitian(T, t):
-        raise NotHermitian("candidate last block must be Hermitian")
-    lower = theta(s, n, t)
-    if bound == "given_s2n":
-        upper = s[2 * n]
-    elif bound == "r_upper":
-        upper = r_upper(s, n, t)
-    else:
-        raise ValueError("bound must be 'given_s2n' or 'r_upper'")
-    return loewner_leq(lower, T, t) and loewner_leq(T, upper, t)
-
-
-def _class_conditions(s, r, t) -> tuple[bool, bool, bool]:
-    """The three conditions of the class test, individually."""
-    n = s.kappa // 2
-    R = r_upper(s, n, t)
-    prefix_equal = all(
-        frobenius(r[j] - s[j]) <= t.threshold(frobenius(s[j])) for j in range(2 * n)
-    )
-    # both differences live at the scale of the blocks; clipping keeps
-    # cancellation noise out of the PSD and rank verdicts below
-    scale = max(max(frobenius(b) for b in s), frobenius(r[2 * n]))
-    D = r[2 * n] - R
-    try:
-        D = psd_clip(D, scale, t)
-        difference_psd = True
-    except (NotPSD, NotHermitian):
-        difference_psd = False
-    L_prev = psd_clip(l_matrix(s, n - 1, t), scale, t)
-    return (
-        prefix_equal,
-        difference_psd,
-        ranges_intersect_trivially(D, L_prev, t),
-    )
+    return Tower(s, tol).interval(t_last, bound)[2]
 
 
 def same_class(s, r, tol=None) -> bool:
@@ -325,36 +447,23 @@ def same_class(s, r, tol=None) -> bool:
     True iff r agrees with s below the last block, r_{2n} - R_n is PSD, and
     ran(r_{2n} - R_n) meets ran L_{n-1} only in 0.
     """
-    s = MomentSequence.coerce(s)
-    r = MomentSequence.coerce(r)
-    if len(s) != len(r) or s.q != r.q:
-        raise ShapeMismatch(
-            f"sequences differ in shape: ({len(s)} blocks of size {s.q}) vs "
-            f"({len(r)} blocks of size {r.q})"
-        )
-    _require_odd_length(s)
-    if s.kappa < 2:
-        raise TooShort("the class test needs kappa = 2n with n >= 1")
-    t = as_tolerance(tol)
-    return all(_class_conditions(s, r, t))
+    return all(Tower(s, tol).conditions(r))
 
 
 def classify_hamburger(s, tol=None) -> HamburgerReport:
     """Gather the full Hamburger-side report for one sequence."""
     s = MomentSequence.coerce(s)
-    t = as_tolerance(tol)
-    _require_odd_length(s)
-    n = s.kappa // 2
-    hnnd = is_hnnd(s, t)
-    R = r_upper(s, n, t) if hnnd else None
+    tower = Tower(s, as_tolerance(tol))
+    m = tower.top()
+    R = tower.r(m) if tower.nnd(m) else None
     return HamburgerReport(
         q=s.q,
-        n=n,
-        is_hnnd=hnnd,
-        is_hnnde=is_hnnde(s, t),
-        theta=theta(s, n, t),
-        L=l_matrix(s, n, t),
-        L_prev=l_matrix(s, n - 1, t) if n >= 1 else None,
+        n=m // 2,
+        is_hnnd=tower.nnd(m),
+        is_hnnde=tower.nnde(m),
+        theta=tower.u(m - 1),
+        L=tower.kappa(m),
+        L_prev=tower.kappa(m - 2) if m >= 2 else None,
         R=R,
         canonical=s.with_last(R) if R is not None else None,
     )

@@ -96,6 +96,17 @@ def hermitian_eig(A, tol=None) -> tuple[Array, Array]:
     return w, U
 
 
+def _flatten_band(w, U, thr, f=None) -> Array:
+    """Rebuild U f(w) U^H with the eigenvalues in the band |w| <= thr set to 0.
+
+    ``w`` is ascending; an eigenvalue below the band raises NotPSD.
+    """
+    if w[0] < -thr:
+        raise NotPSD(f"eigenvalue {w[0]:.6e} below the PSD tolerance -{thr:.3e}")
+    w = np.where(np.abs(w) <= thr, 0.0, w)
+    return herm_part((U * (w if f is None else f(w))) @ U.conj().T)
+
+
 def psd_sqrt(A, tol=None) -> Array:
     """The unique PSD square root of a PSD matrix.
 
@@ -107,12 +118,7 @@ def psd_sqrt(A, tol=None) -> Array:
     """
     t = as_tolerance(tol)
     w, U = hermitian_eig(A, t)
-    thr = t.threshold(np.abs(w).max())
-    if w[0] < -thr:
-        raise NotPSD(f"eigenvalue {w[0]:.6e} below the PSD tolerance -{thr:.3e}")
-    w = np.where(np.abs(w) <= thr, 0.0, w)
-    root = np.sqrt(np.clip(w, 0.0, None))
-    return herm_part((U * root) @ U.conj().T)
+    return _flatten_band(w, U, t.threshold(np.abs(w).max()), np.sqrt)
 
 
 def psd_clip(A, scale, tol=None) -> Array:
@@ -131,10 +137,7 @@ def psd_clip(A, scale, tol=None) -> Array:
     if frobenius(M - M.conj().T) > thr:
         raise NotHermitian("matrix is not Hermitian within the working-scale tolerance")
     w, U = np.linalg.eigh(herm_part(M))
-    if w[0] < -thr:
-        raise NotPSD(f"eigenvalue {w[0]:.6e} below the PSD tolerance -{thr:.3e}")
-    w = np.where(np.abs(w) <= thr, 0.0, np.clip(w, 0.0, None))
-    return herm_part((U * w) @ U.conj().T)
+    return _flatten_band(w, U, thr)
 
 
 def pinv(A, tol=None) -> Array:
@@ -221,11 +224,6 @@ class Subspace:
     def full(cls, q: int) -> "Subspace":
         return cls(np.eye(q, dtype=complex))
 
-    @classmethod
-    def from_columns(cls, M, tol=None) -> "Subspace":
-        M = as_matrix(M)
-        return cls(orthonormal_columns(M, tol))
-
     @property
     def ambient_dim(self) -> int:
         return self.basis.shape[0]
@@ -248,7 +246,7 @@ class Subspace:
 
 def subspace_from_columns(M, tol=None) -> Subspace:
     """Subspace spanned by the columns of M (dim = numerical rank)."""
-    return Subspace.from_columns(M, tol)
+    return Subspace(orthonormal_columns(M, tol))
 
 
 def fiber_projector(M, V: Subspace, tol=None) -> Array:
@@ -268,14 +266,22 @@ def fiber_projector(M, V: Subspace, tol=None) -> Array:
     return herm_part(np.eye(p) - pinv(N, t) @ N)
 
 
+def _psd_floor(H, t: Tolerance, scale: float = 0.0) -> tuple[float, bool]:
+    """The lowest eigenvalue of Hermitian H, and whether it is >= -threshold.
+
+    The threshold's scale is the spectral radius of H, or ``scale`` if larger.
+    """
+    w = np.linalg.eigvalsh(H)
+    return w[0], bool(w[0] >= -t.threshold(max(np.abs(w).max(), scale)))
+
+
 def is_psd(A, tol=None) -> bool:
     """All eigenvalues >= -tol.  Raises NotHermitian for non-Hermitian input."""
     t = as_tolerance(tol)
     M = _square(A)
     if not is_hermitian(M, t):
         raise NotHermitian("is_psd requires a Hermitian matrix")
-    w = np.linalg.eigvalsh(herm_part(M))
-    return bool(w[0] >= -t.threshold(np.abs(w).max()))
+    return _psd_floor(herm_part(M), t)[1]
 
 
 def psd_verdict(A, tol=None) -> bool:
@@ -284,8 +290,7 @@ def psd_verdict(A, tol=None) -> bool:
     M = as_matrix(A)
     if M.shape[0] != M.shape[1] or not is_hermitian(M, t):
         return False
-    w = np.linalg.eigvalsh(herm_part(M))
-    return bool(w[0] >= -t.threshold(np.abs(w).max()))
+    return _psd_floor(herm_part(M), t)[1]
 
 
 def loewner_leq(A, B, tol=None) -> bool:
@@ -305,9 +310,7 @@ def loewner_leq(A, B, tol=None) -> bool:
         if not is_hermitian(M, t):
             raise NotHermitian("Loewner comparison requires Hermitian matrices")
     D = herm_part(MB) - herm_part(MA)
-    w = np.linalg.eigvalsh(herm_part(D))
-    scale = max(np.abs(w).max(initial=0.0), frobenius(MA), frobenius(MB))
-    return bool(w[0] >= -t.threshold(scale))
+    return _psd_floor(herm_part(D), t, max(frobenius(MA), frobenius(MB)))[1]
 
 
 def range_included(B, A, tol=None) -> bool:

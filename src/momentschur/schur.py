@@ -20,6 +20,7 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD, Spli
 from .linalg import (
     Array,
     Subspace,
+    _psd_floor,
     as_matrix,
     as_tolerance,
     fiber_projector,
@@ -56,10 +57,11 @@ def _validated_psd(A, V, t) -> Array:
         )
     if not is_hermitian(M, t):
         raise NotPSD("matrix is not Hermitian, hence not PSD")
-    w = np.linalg.eigvalsh(herm_part(M))
-    if w[0] < -t.threshold(np.abs(w).max()):
-        raise NotPSD(f"eigenvalue {w[0]:.6e} is below the PSD tolerance")
-    return herm_part(M)
+    H = herm_part(M)
+    lowest, psd = _psd_floor(H, t)
+    if not psd:
+        raise NotPSD(f"eigenvalue {lowest:.6e} is below the PSD tolerance")
+    return H
 
 
 def schur_complement(A, V: Subspace, tol=None) -> SchurResult:

@@ -1,47 +1,18 @@
 """Classification of moment sequences on a half line [alpha, infinity).
 
-The Stieltjes-type analysis of a sequence (s_0, ..., s_m) runs two Hankel
-towers at once: the plain one H_n and the one built from the shifted sequence
-s_alpha with blocks -alpha s_j + s_{j+1}.  The role of the slack L_n is played
-by the kappa_j (alternating between the two towers), the lower interval
-endpoint is u_{m-1} (Theta of one tower or alpha s_m plus Theta of the
-other), and the tight upper endpoint is
-R_m = u_{m-1} + S(kappa_m, ran kappa_{m-1}).  The structure deliberately
-mirrors the hamburger module; for even m the plain tower is literally the
-Hamburger one (kappa_{2k} = L_k and u_{2k-1} = Theta_k).
+The Stieltjes problem runs on the hamburger module's ``Tower`` with a second
+tower, that of the shifted sequence -alpha s_j + s_{j+1}, so that every index
+carries a slack kappa_j and R_m = u_{m-1} + S(kappa_m, ran kappa_{m-1}).
+This module holds the report, the shift and the half line's public functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    NotHermitian,
-    NotKNND,
-    NotPSD,
-    ShapeMismatch,
-    TooShort,
-)
-from .linalg import (
-    Array,
-    Tolerance,
-    as_matrix,
-    as_tolerance,
-    frobenius,
-    is_hermitian,
-    loewner_leq,
-    psd_clip,
-    psd_verdict,
-    range_included,
-    ranges_intersect_trivially,
-    subspace_from_columns,
-)
-from .hamburger import MomentSequence, block_hankel, l_matrix, theta
-from .schur import schur_complement
+from .errors import IndexOutOfRange, TooShort
+from .hamburger import MomentSequence, Tower
+from .linalg import Array, as_tolerance
 
 
 @dataclass(frozen=True)
@@ -78,21 +49,8 @@ def is_knnd(s, alpha: float, tol=None) -> bool:
     m = 0: s_0 PSD; m = 2n: H_n and H_{alpha,n-1} PSD; m = 2n+1: H_n and
     H_{alpha,n} PSD.
     """
-    s = MomentSequence.coerce(s)
-    t = as_tolerance(tol)
-    m = s.kappa
-    if m == 0:
-        return psd_verdict(s[0], t)
-    shifted = alpha_shift(s, alpha)
-    if m % 2 == 0:
-        n = m // 2
-        return psd_verdict(block_hankel(s, n), t) and psd_verdict(
-            block_hankel(shifted, n - 1), t
-        )
-    n = (m - 1) // 2
-    return psd_verdict(block_hankel(s, n), t) and psd_verdict(
-        block_hankel(shifted, n), t
-    )
+    tower = Tower(s, tol, alpha)
+    return tower.nnd(tower.top())
 
 
 def kappa(s, alpha: float, j: int, tol=None) -> Array:
@@ -100,9 +58,7 @@ def kappa(s, alpha: float, j: int, tol=None) -> Array:
     s = MomentSequence.coerce(s)
     if not 0 <= j <= s.kappa:
         raise IndexOutOfRange(f"kappa index {j} outside 0..{s.kappa}")
-    if j % 2 == 0:
-        return l_matrix(s, j // 2, tol)
-    return l_matrix(alpha_shift(s, alpha), (j - 1) // 2, tol)
+    return Tower(s, tol, alpha).kappa(j)
 
 
 def u_lower(s, alpha: float, m: int, tol=None) -> Array:
@@ -114,15 +70,7 @@ def u_lower(s, alpha: float, m: int, tol=None) -> Array:
     s = MomentSequence.coerce(s)
     if not -1 <= m <= s.kappa:
         raise IndexOutOfRange(f"u index {m} outside -1..{s.kappa}")
-    if m == -1:
-        return np.zeros((s.q, s.q), dtype=complex)
-    if m % 2 == 1:
-        return theta(s, (m + 1) // 2, tol)
-    k = m // 2
-    base = alpha * s[2 * k]
-    if k == 0:
-        return base
-    return base + theta(alpha_shift(s, alpha), k, tol)
+    return Tower(s, tol, alpha).u(m)
 
 
 def is_knnde(s, alpha: float, tol=None) -> bool:
@@ -132,22 +80,8 @@ def is_knnde(s, alpha: float, tol=None) -> bool:
     ran kappa_m inside ran kappa_{m-1}.  Base case m = 0: s_0 PSD (the
     completion s_1 := alpha s_0 always works then).
     """
-    s = MomentSequence.coerce(s)
-    t = as_tolerance(tol)
-    m = s.kappa
-    if m == 0:
-        return psd_verdict(s[0], t)
-    if not is_knnde(s.prefix(m), alpha, t):
-        return False
-    # the kappa residuals carry rounding noise at the (shifted) block
-    # scale; clip it before the PSD and range verdicts
-    scale = (1.0 + abs(alpha)) * max(frobenius(b) for b in s)
-    try:
-        k_m = psd_clip(kappa(s, alpha, m, t), scale, t)
-        k_prev = psd_clip(kappa(s, alpha, m - 1, t), scale, t)
-    except (NotPSD, NotHermitian):
-        return False
-    return range_included(k_m, k_prev, t)
+    tower = Tower(s, tol, alpha)
+    return tower.nnde(tower.top())
 
 
 def r_upper_stieltjes(s, alpha: float, m: int, tol=None) -> Array:
@@ -159,23 +93,13 @@ def r_upper_stieltjes(s, alpha: float, m: int, tol=None) -> Array:
     t = as_tolerance(tol)
     if not 0 <= m <= s.kappa:
         raise IndexOutOfRange(f"r_upper index {m} outside 0..{s.kappa}")
-    if not is_knnd(s.prefix(m + 1), alpha, t):
-        raise NotKNND("the sequence s_0..s_m is not Stieltjes nonnegative definite")
-    if m == 0:
-        return s[0]
-    # same noise-floor reasoning as in the Hamburger R: the kappa residuals
-    # are differences at the scale of the (possibly shifted) Hankel blocks
-    scale = (1.0 + abs(alpha)) * max(frobenius(s[j]) for j in range(m + 1))
-    k_m = psd_clip(kappa(s, alpha, m, t), scale, t)
-    k_prev = psd_clip(kappa(s, alpha, m - 1, t), scale, t)
-    V = subspace_from_columns(k_prev, t)
-    return u_lower(s, alpha, m - 1, t) + schur_complement(k_m, V, t).S
+    return Tower(s, t, alpha).r(m)
 
 
 def canonical_rep_stieltjes(s, alpha: float, tol=None) -> MomentSequence:
     """The sequence with its last block replaced by R_m (class representative)."""
-    s = MomentSequence.coerce(s)
-    return s.with_last(r_upper_stieltjes(s, alpha, s.kappa, tol))
+    tower = Tower(s, tol, alpha)
+    return tower.s.with_last(tower.r(tower.top()))
 
 
 def in_extension_interval_stieltjes(
@@ -186,92 +110,28 @@ def in_extension_interval_stieltjes(
     bound="given_sm" tests u_{m-1} <= t <= s_m; bound="r_upper" tests
     u_{m-1} <= t <= R_m (last blocks of extendable sequences).
     """
-    s = MomentSequence.coerce(s)
-    t = as_tolerance(tol)
-    m = s.kappa
-    if not is_knnd(s, alpha, t):
-        raise NotKNND("the reference sequence is not Stieltjes nonnegative definite")
-    T = as_matrix(t_last)
-    if T.shape != (s.q, s.q):
-        raise DimensionMismatch(f"candidate block has shape {T.shape}, expected {(s.q, s.q)}")
-    if not is_hermitian(T, t):
-        raise NotHermitian("candidate last block must be Hermitian")
-    lower = u_lower(s, alpha, m - 1, t)
-    if bound == "given_sm":
-        upper = s[m]
-    elif bound == "r_upper":
-        upper = r_upper_stieltjes(s, alpha, m, t)
-    else:
-        raise ValueError("bound must be 'given_sm' or 'r_upper'")
-    return loewner_leq(lower, T, t) and loewner_leq(T, upper, t)
-
-
-def _class_conditions(s, r, alpha, t) -> tuple[bool, bool, bool]:
-    """The three conditions of the Stieltjes class test, individually."""
-    m = s.kappa
-    R = r_upper_stieltjes(s, alpha, m, t)
-    prefix_equal = all(
-        frobenius(r[j] - s[j]) <= t.threshold(frobenius(s[j])) for j in range(m)
-    )
-    # mirror of the Hamburger class test: judge the differences at the
-    # (shifted) block scale before taking PSD and rank verdicts
-    scale = (1.0 + abs(alpha)) * max(max(frobenius(b) for b in s), frobenius(r[m]))
-    D = r[m] - R
-    try:
-        D = psd_clip(D, scale, t)
-        difference_psd = True
-    except (NotPSD, NotHermitian):
-        difference_psd = False
-    k_prev = psd_clip(kappa(s, alpha, m - 1, t), scale, t)
-    return (
-        prefix_equal,
-        difference_psd,
-        ranges_intersect_trivially(D, k_prev, t),
-    )
+    return Tower(s, tol, alpha).interval(t_last, bound)[2]
 
 
 def same_class_stieltjes(s, r, alpha: float, tol=None) -> bool:
     """Do s and r share the same class of Stieltjes nonnegative extensions?"""
-    s = MomentSequence.coerce(s)
-    r = MomentSequence.coerce(r)
-    if len(s) != len(r) or s.q != r.q:
-        raise ShapeMismatch(
-            f"sequences differ in shape: ({len(s)} blocks of size {s.q}) vs "
-            f"({len(r)} blocks of size {r.q})"
-        )
-    if s.kappa < 1:
-        raise TooShort("the class test needs at least two blocks")
-    t = as_tolerance(tol)
-    return all(_class_conditions(s, r, alpha, t))
+    return all(Tower(s, tol, alpha).conditions(r))
 
 
 def classify_stieltjes(s, alpha: float, tol=None) -> StieltjesReport:
     """Gather the full Stieltjes-side report for one sequence."""
     s = MomentSequence.coerce(s)
-    t = as_tolerance(tol)
+    tower = Tower(s, as_tolerance(tol), alpha)
     m = s.kappa
-    knnd = is_knnd(s, alpha, t)
-    R = r_upper_stieltjes(s, alpha, m, t) if knnd else None
+    R = tower.r(m) if tower.nnd(m) else None
     return StieltjesReport(
         q=s.q,
         m=m,
         alpha=float(alpha),
-        is_knnd=knnd,
-        is_knnde=is_knnde(s, alpha, t),
-        kappa=tuple(kappa(s, alpha, j, t) for j in range(m + 1)),
-        u=tuple(u_lower(s, alpha, j, t) for j in range(-1, m)),
+        is_knnd=tower.nnd(m),
+        is_knnde=tower.nnde(m),
+        kappa=tuple(tower.kappa(j) for j in range(m + 1)),
+        u=tuple(tower.u(j) for j in range(-1, m)),
         R=R,
         canonical=s.with_last(R) if R is not None else None,
     )
-
-
-@dataclass(frozen=True)
-class StieltjesContext:
-    """A sequence paired with the half-line endpoint it is analyzed against."""
-
-    alpha: float
-    sequence: MomentSequence
-    tol: Tolerance = Tolerance()
-
-    def report(self) -> StieltjesReport:
-        return classify_stieltjes(self.sequence, self.alpha, self.tol)

@@ -46,6 +46,32 @@ GOLDEN_CASES = [
     ),
     (("class-test", "seq_001.json", "seq_005.json"), "class_test_same_out.json"),
     (("class-test", "seq_101.json", "seq_102.json"), "class_test_diff_out.json"),
+    # half line [-0.5, oo), q = 2: the last block of seq_201 exceeds R_3 by a
+    # rank-one block outside ran kappa_2, so the two upper bounds differ
+    (
+        ("interval", "seq_201_alpha.json", "--last", "last_q2_above.json"),
+        "stieltjes_interval_given_member_out.json",
+    ),
+    (
+        ("interval", "seq_201_alpha.json", "--last", "last_q2_below.json"),
+        "stieltjes_interval_given_nonmember_out.json",
+    ),
+    (
+        ("interval", "seq_201_alpha.json", "--last", "last_q2_inside.json", "--bound", "canonical"),
+        "stieltjes_interval_canonical_member_out.json",
+    ),
+    (
+        ("interval", "seq_201_alpha.json", "--last", "last_q2_above.json", "--bound", "canonical"),
+        "stieltjes_interval_canonical_nonmember_out.json",
+    ),
+    (
+        ("class-test", "seq_201_alpha.json", "seq_202_alpha.json"),
+        "stieltjes_class_test_same_out.json",
+    ),
+    (
+        ("class-test", "seq_201_alpha.json", "seq_203_alpha.json"),
+        "stieltjes_class_test_diff_out.json",
+    ),
 ]
 
 

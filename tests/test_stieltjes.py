@@ -15,7 +15,6 @@ from momentschur import (
     NotHermitian,
     NotKNND,
     ShapeMismatch,
-    StieltjesContext,
     TooShort,
     alpha_shift,
     canonical_rep_stieltjes,
@@ -252,8 +251,3 @@ class TestClassifyStieltjes:
         rep = classify_stieltjes([1, -1], 0.0)
         assert not rep.is_knnd and not rep.is_knnde
         assert rep.R is None and rep.canonical is None
-
-    def test_context_wrapper(self):
-        ctx = StieltjesContext(alpha=0.0, sequence=MomentSequence([1, 1, 1]))
-        rep = ctx.report()
-        assert rep.is_knnd

@@ -1,0 +1,74 @@
+"""Work done by the tower engine: each Theta_k of each tower once per call."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from conftest import hamburger_measure_sequence, stieltjes_measure_sequence
+
+import momentschur as M
+from momentschur import hamburger
+
+ALPHA = 0.5
+
+
+@pytest.fixture
+def theta_calls(monkeypatch):
+    """Count hamburger.theta evaluations by k and the blocks Theta_k reads."""
+    calls = Counter()
+    real = hamburger.theta
+
+    def counted(s, k, tol=None):
+        # Theta_k reads s_0..s_{2k-1}; keeping s_0 for k = 0 tells the plain
+        # tower's Theta_0 from the shifted tower's
+        read = M.MomentSequence.coerce(s).blocks[: max(2 * k, 1)]
+        calls[k, b"".join(b.tobytes() for b in read)] += 1
+        return real(s, k, tol)
+
+    monkeypatch.setattr(hamburger, "theta", counted)
+    return calls
+
+
+def test_classify_hamburger_evaluates_each_theta_once(theta_calls):
+    s = hamburger_measure_sequence(np.random.default_rng(3), 2, 5, n_atoms=3)
+    M.classify_hamburger(s)
+    # Theta_1 and Theta_2 of the one tower
+    assert sorted(theta_calls.values()) == [1, 1]
+
+
+def test_classify_stieltjes_evaluates_each_theta_once(theta_calls):
+    s = stieltjes_measure_sequence(np.random.default_rng(4), ALPHA, 2, 7, n_atoms=3)
+    M.classify_stieltjes(s, ALPHA)
+    # Theta_0..Theta_3 of the plain tower, Theta_0..Theta_2 of the shift
+    assert sorted(theta_calls.values()) == [1] * 7
+
+
+HAMBURGER_CALLS = {
+    "is_hnnde": lambda s: M.is_hnnde(s),
+    "canonical_rep": lambda s: M.canonical_rep(s),
+    "interval": lambda s: M.in_extension_interval(s, s[s.kappa], "r_upper"),
+    "same_class": lambda s: M.same_class(s, s),
+}
+STIELTJES_CALLS = {
+    "is_knnde": lambda s: M.is_knnde(s, ALPHA),
+    "canonical_rep": lambda s: M.canonical_rep_stieltjes(s, ALPHA),
+    "interval": lambda s: M.in_extension_interval_stieltjes(s, ALPHA, s[s.kappa], "r_upper"),
+    "same_class": lambda s: M.same_class_stieltjes(s, s, ALPHA),
+}
+
+
+@pytest.mark.parametrize("length", [3, 5, 7])
+@pytest.mark.parametrize("name", sorted(HAMBURGER_CALLS))
+def test_hamburger_calls_evaluate_each_theta_once(theta_calls, name, length):
+    s = hamburger_measure_sequence(np.random.default_rng(length), 2, length, n_atoms=2)
+    HAMBURGER_CALLS[name](s)
+    assert theta_calls and max(theta_calls.values()) == 1
+
+
+@pytest.mark.parametrize("length", [2, 5, 8])
+@pytest.mark.parametrize("name", sorted(STIELTJES_CALLS))
+def test_stieltjes_calls_evaluate_each_theta_once(theta_calls, name, length):
+    s = stieltjes_measure_sequence(np.random.default_rng(length), ALPHA, 2, length, n_atoms=2)
+    STIELTJES_CALLS[name](s)
+    assert theta_calls and max(theta_calls.values()) == 1
