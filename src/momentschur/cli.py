@@ -29,7 +29,6 @@ from .hamburger import MomentSequence, Tower, classify_hamburger
 from .jsonio import (
     dumps,
     loads,
-    matrix_json,
     parse_matrix,
     parse_schur_file,
     parse_sequence_file,
@@ -38,6 +37,7 @@ from .jsonio import (
 from .linalg import (
     Tolerance,
     as_matrix,
+    as_tolerance,
     herm_part,
     loewner_leq,
     numerical_rank,
@@ -62,10 +62,6 @@ def _read_json(path: str):
     return loads(text)
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance(eps_rel=args.tol) if args.tol is not None else Tolerance()
-
-
 def _resolve_alpha(args, *file_alphas):
     if args.alpha is not None:
         return float(args.alpha)
@@ -73,7 +69,7 @@ def _resolve_alpha(args, *file_alphas):
 
 
 def cmd_schur(args) -> dict:
-    t = _tolerance(args)
+    t = as_tolerance(args.tol)
     A, V_columns = parse_schur_file(_read_json(args.input))
     V = subspace_from_columns(V_columns, t)
     result = schur_complement(A, V, t)
@@ -88,9 +84,9 @@ def cmd_schur(args) -> dict:
         "dim_V": V.dim,
         "rank_A": rank_A,
         "rank_S": rank_S,
-        "S": matrix_json(result.S),
-        "P_fiber": matrix_json(result.P_fiber),
-        "complement": matrix_json(result.complement),
+        "S": result.S,
+        "P_fiber": result.P_fiber,
+        "complement": result.complement,
         "checks": {
             "S_psd": psd_verdict(result.S, t),
             "S_leq_A": loewner_leq(result.S, M, t),
@@ -112,17 +108,13 @@ def _report(command: str, t: Tolerance, **fields) -> dict:
     for name, value in fields.items():
         if isinstance(value, MomentSequence):
             value = sequence_json(value, alpha)
-        elif isinstance(value, np.ndarray):
-            value = matrix_json(value)
-        elif isinstance(value, tuple):
-            value = [matrix_json(v) for v in value]
         if name != "alpha" or value is not None:
             report[name] = value
     return report
 
 
 def cmd_classify(args) -> dict:
-    t = _tolerance(args)
+    t = as_tolerance(args.tol)
     seq, file_alpha = parse_sequence_file(_read_json(args.input))
     alpha = _resolve_alpha(args, file_alpha)
     rep = classify_hamburger(seq, t) if alpha is None else classify_stieltjes(seq, alpha, t)
@@ -130,7 +122,7 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_interval(args) -> dict:
-    t = _tolerance(args)
+    t = as_tolerance(args.tol)
     seq, file_alpha = parse_sequence_file(_read_json(args.input))
     alpha = _resolve_alpha(args, file_alpha)
     T = parse_matrix(_read_json(args.last), scalar_ok=True)
@@ -142,7 +134,7 @@ def cmd_interval(args) -> dict:
 
 
 def cmd_class_test(args) -> dict:
-    t = _tolerance(args)
+    t = as_tolerance(args.tol)
     s, alpha_s = parse_sequence_file(_read_json(args.input_s))
     r, alpha_r = parse_sequence_file(_read_json(args.input_r))
     alpha = _resolve_alpha(args, alpha_s, alpha_r)
@@ -193,28 +185,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+# error kind -> exit code; NotPSD includes NotHNND and NotKNND
+_EXIT_CODES = {
+    ParseError: 2,
+    TooShort: 2,
+    IndexOutOfRange: 2,
+    NotPSD: 3,
+    DimensionMismatch: 4,
+    OddOrderUnsupported: 5,
+    NotHermitian: 6,
+    ShapeMismatch: 7,
+}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         report = args.func(args)
-    except (ParseError, TooShort, IndexOutOfRange) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotPSD as exc:  # includes NotHNND and NotKNND
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DimensionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OddOrderUnsupported as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except NotHermitian as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except ShapeMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 7
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     sys.stdout.write(dumps(report))
     return 0
 

@@ -140,6 +140,8 @@ class HamburgerReport:
 def block_hankel(s, n: int) -> Array:
     """The (n+1)q x (n+1)q block Hankel matrix [s_{j+k}]_{j,k=0..n}."""
     s = MomentSequence.coerce(s)
+    if n < 0:
+        raise IndexOutOfRange(f"block Hankel order {n} is negative")
     if 2 * n > s.kappa:
         raise IndexOutOfRange(f"block Hankel of order {n} needs blocks up to 2n={2 * n}")
     rows = [np.hstack([s[j + k] for k in range(n + 1)]) for j in range(n + 1)]
@@ -170,6 +172,8 @@ def theta(s, n: int, tol=None) -> Array:
     """
     s = MomentSequence.coerce(s)
     t = as_tolerance(tol)
+    if n < 0:
+        raise IndexOutOfRange(f"theta order {n} is negative")
     if n == 0:
         return np.zeros((s.q, s.q), dtype=complex)
     if 2 * n - 1 > s.kappa:

@@ -134,7 +134,14 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _inline(obj) -> str:
+def _render(obj, indent: int) -> str:
+    """``obj`` as JSON text whose first line starts at column ``indent``.
+
+    A container stays on one line when every item is one line and the whole
+    fits in ``_INLINE_WIDTH - indent`` columns; otherwise it puts one item per
+    line at ``indent + 2``.  A dict value is judged at ``indent + 2``, without
+    its key.  Numpy arrays are written as their ``matrix_json`` form.
+    """
     if obj is None:
         return "null"
     if obj is True:
@@ -147,29 +154,21 @@ def _inline(obj) -> str:
         return str(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
+    if isinstance(obj, np.ndarray):
+        obj = matrix_json(obj)
     if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_inline(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_inline(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _render(obj, indent: int) -> str:
-    flat = _inline(obj)
-    if len(flat) + indent <= _INLINE_WIDTH or not isinstance(obj, (dict, list, tuple)):
+        items = [f"{json.dumps(str(k))}: {_render(v, indent + 2)}" for k, v in obj.items()]
+        opening, closing = "{", "}"
+    elif isinstance(obj, (list, tuple)):
+        items = [_render(v, indent + 2) for v in obj]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    flat = opening + ", ".join(items) + closing
+    if not items or (len(flat) + indent <= _INLINE_WIDTH and "\n" not in flat):
         return flat
-    if isinstance(obj, dict):
-        if not obj:
-            return flat
-        body = (",\n" + " " * (indent + 2)).join(
-            f"{json.dumps(str(k))}: {_render(v, indent + 2)}" for k, v in obj.items()
-        )
-        return "{\n" + " " * (indent + 2) + body + "\n" + " " * indent + "}"
-    if not obj:
-        return flat
-    body = (",\n" + " " * (indent + 2)).join(_render(v, indent + 2) for v in obj)
-    return "[\n" + " " * (indent + 2) + body + "\n" + " " * indent + "]"
+    pad = "\n" + " " * (indent + 2)
+    return opening + pad + ("," + pad).join(items) + "\n" + " " * indent + closing
 
 
 def dumps(obj) -> str:

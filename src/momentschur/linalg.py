@@ -148,21 +148,23 @@ def pinv(A, tol=None) -> Array:
     so the rank seen here is the same rank the range predicates use.
     """
     t = as_tolerance(tol)
-    M = as_matrix(A)
+    return _pinv(as_matrix(A), t, lambda v: v > t.threshold(v.max()))
+
+
+def _pinv(M, t: Tolerance, keep) -> Array:
+    """M^+ inverting only the spectral magnitudes v where ``keep(v)`` holds."""
     if M.size == 0:
         return np.zeros((M.shape[1], M.shape[0]), dtype=complex)
     if M.shape[0] == M.shape[1] and is_hermitian(M, t):
         w, U = np.linalg.eigh(herm_part(M))
-        cut = t.threshold(np.abs(w).max())
         inv = np.zeros_like(w)
-        keep = np.abs(w) > cut
-        inv[keep] = 1.0 / w[keep]
+        kept = keep(np.abs(w))
+        inv[kept] = 1.0 / w[kept]
         return (U * inv) @ U.conj().T
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    cut = t.threshold(s[0])
     inv = np.zeros_like(s)
-    keep = s > cut
-    inv[keep] = 1.0 / s[keep]
+    kept = keep(s)
+    inv[kept] = 1.0 / s[kept]
     return (Vh.conj().T * inv) @ U.conj().T
 
 
@@ -253,7 +255,10 @@ def fiber_projector(M, V: Subspace, tol=None) -> Array:
     """Orthogonal projector onto the fiber {x : M x in V}.
 
     Computed as I - N^+ N with N = (I - P_V) M: the fiber is exactly the null
-    space of N.
+    space of N.  A singular value sigma of N counts as zero when
+    ``sigma * ||M||_F <= threshold(||M||_F^2)``: for M = sqrt(A) that judges
+    N at the scale of A (||M||_F^2 = trace A), where ``range_included`` judges
+    ran A inside V, not at the scale of N's own largest singular value.
     """
     t = as_tolerance(tol)
     A = as_matrix(M)
@@ -263,7 +268,8 @@ def fiber_projector(M, V: Subspace, tol=None) -> Array:
         )
     N = A - V.projector() @ A
     p = A.shape[1]
-    return herm_part(np.eye(p) - pinv(N, t) @ N)
+    norm = frobenius(A)
+    return herm_part(np.eye(p) - _pinv(N, t, lambda v: v * norm > t.threshold(norm * norm)) @ N)
 
 
 def _psd_floor(H, t: Tolerance, scale: float = 0.0) -> tuple[float, bool]:

@@ -5,12 +5,16 @@ numbers checked by hand against the worked scalar cases; the tests compare
 bytes so any drift in formatting or values shows up immediately.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from momentschur import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -97,6 +101,30 @@ class TestGolden:
         result = run_cli("classify", "-", stdin=payload)
         assert result.returncode == 0
         assert result.stdout == (GOLDEN / "classify_hamburger_out.json").read_text()
+
+
+class TestInProcess:
+    def test_repeated_calls_match_fresh_processes(self):
+        # main keeps one parser for the process: no flag, default or error
+        # of one call may leak into the next
+        calls = [
+            ("classify", "seq_101.json", "--alpha", "0.5"),
+            ("interval", "seq_001.json", "--last", "last_half.json", "--bound", "canonical"),
+            ("schur", "schur_in.json", "--tol", "1e-8"),
+            ("classify", "missing.json"),
+            ("schur", "schur_in.json"),
+            ("classify", "seq_101.json"),
+            ("interval", "seq_001.json", "--last", "last_half.json"),
+        ]
+        for call in calls:
+            argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in call]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            fresh = run_cli(*argv)
+            assert (code, out.getvalue(), err.getvalue()) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), call
 
 
 class TestFlags:

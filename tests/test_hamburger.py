@@ -55,6 +55,10 @@ class TestMomentSequence:
             s[3]
         with pytest.raises(IndexOutOfRange):
             s.prefix(0)
+        with pytest.raises(IndexOutOfRange):
+            block_hankel(s, -1)
+        with pytest.raises(IndexOutOfRange):
+            theta(s, -1)
 
     def test_empty_rejected(self):
         with pytest.raises(TooShort):

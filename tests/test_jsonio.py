@@ -158,3 +158,25 @@ class TestDumps:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             dumps([float("nan")])
+
+    def test_one_line_up_to_the_width(self):
+        # '["' + 96 characters + '"]' is exactly 100 columns
+        assert dumps(["x" * 96]) == '["' + "x" * 96 + '"]\n'
+        assert dumps(["x" * 97]) == '[\n  "' + "x" * 97 + '"\n]\n'
+
+    def test_dict_value_width_leaves_out_its_key(self):
+        # the list is judged at indent 2 with 98 columns, so its line may
+        # run past column 100 by the width of the key
+        fits, breaks = ["x" * 94], ["x" * 95]
+        assert dumps({"key": fits}) == '{\n  "key": ["' + "x" * 94 + '"]\n}\n'
+        assert dumps({"key": breaks}) == (
+            '{\n  "key": [\n    "' + "x" * 95 + '"\n  ]\n}\n'
+        )
+
+    def test_arrays_render_as_matrix_json(self):
+        rng = np.random.default_rng(173)
+        M = random_complex(rng, 3, 2)
+        assert dumps(M) == dumps(matrix_json(M))
+        report = {"S": M, "kappa": (M[:1], M[1:])}
+        expected = {"S": matrix_json(M), "kappa": [matrix_json(M[:1]), matrix_json(M[1:])]}
+        assert dumps(report) == dumps(expected)

@@ -61,6 +61,17 @@ class TestSchurComplement:
         res = schur_complement(A, random_subspace(rng, 4, 2))
         np.testing.assert_allclose(res.S + res.complement, herm_part(A), atol=1e-13)
 
+    def test_fiber_agrees_with_range_included(self):
+        # V matches e1 only to 1e-8: ran A lies in V at the scale of A when A
+        # is small, and then A is its own complement; at unit scale it does not
+        V = subspace_from_columns(np.array([[1.0], [1e-8]]))
+        small = np.diag([5e-3, 0.0])
+        assert range_included(small, V.basis)
+        np.testing.assert_allclose(schur_complement(small, V).S, small, rtol=1e-12)
+        unit = np.diag([1.0, 0.0])
+        assert not range_included(unit, V.basis)
+        np.testing.assert_allclose(schur_complement(unit, V).S, np.zeros((2, 2)), atol=1e-15)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotPSD):
             schur_complement(np.array([[1.0, 1.0], [0.0, 1.0]]), Subspace.full(2))

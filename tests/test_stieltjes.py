@@ -251,3 +251,25 @@ class TestClassifyStieltjes:
         rep = classify_stieltjes([1, -1], 0.0)
         assert not rep.is_knnd and not rep.is_knnde
         assert rep.R is None and rep.canonical is None
+
+    def test_gram_weight_slack_keeps_r_above_last_block(self):
+        # exact moments of three atoms on [0.5, oo) with Gram weights: the
+        # slack kappa_5 is ~5e-3 at block scale ~450 and its range matches
+        # ran kappa_4 only to rounding; R must still dominate s_5
+        blocks = [
+            [[5.225872311150071, -0.8405486388811644 + 0.11403138081522214j],
+             [-0.8405486388811644 - 0.11403138081522214j, 3.37302203544356]],
+            [[11.387833924167957, -2.689355873843738 - 0.6264753325780754j],
+             [-2.689355873843738 + 0.6264753325780754j, 7.026334492655838]],
+            [[25.427933087080792, -7.473000938392577 - 2.8677948327996807j],
+             [-7.473000938392577 + 2.8677948327996807j, 15.760041903735871]],
+            [[57.82589549049777, -19.477984120217275 - 8.918110016164665j],
+             [-19.477984120217275 + 8.918110016164665j, 37.90566417568914]],
+            [[133.27402735698394, -49.116378891503466 - 24.357439046515168j],
+             [-49.116378891503466 + 24.357439046515168j, 96.85329101734183]],
+            [[310.1730562674027, -121.70427837872894 - 62.5262372009483j],
+             [-121.70427837872894 + 62.5262372009483j, 259.9508759284961]],
+        ]
+        rep = classify_stieltjes([np.array(b) for b in blocks], 0.5)
+        assert rep.is_knnd and rep.is_knnde
+        assert loewner_leq(blocks[5], rep.R)
