@@ -58,9 +58,12 @@ class MomentSequence:
 
     Blocks are stored as read-only complex arrays; scalar entries are accepted
     and become 1x1 blocks, so ``MomentSequence([1, 0, 1])`` works as expected.
+    ``stack`` holds them as one read-only (kappa+1, q, q) array and the blocks
+    are its slices; ``norms`` holds each block's norms, computed once, when
+    first needed.  Neither depends on a tolerance.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("stack", "blocks", "_norms")
 
     def __init__(self, blocks):
         mats = []
@@ -68,20 +71,29 @@ class MomentSequence:
             M = as_matrix(b)
             if M.shape[0] != M.shape[1]:
                 raise ShapeMismatch(f"blocks must be square, got shape {M.shape}")
-            M = M.copy()
-            M.flags.writeable = False
             mats.append(M)
         if not mats:
             raise TooShort("a moment sequence needs at least one block")
-        q = mats[0].shape[0]
-        for M in mats:
-            if M.shape[0] != q:
-                raise ShapeMismatch("all blocks must have the same size")
-        self.blocks = tuple(mats)
+        if any(M.shape != mats[0].shape for M in mats):
+            raise ShapeMismatch("all blocks must have the same size")
+        self._hold(np.array(mats))
+
+    def _hold(self, stack: Array) -> "MomentSequence":
+        # stack holds validated blocks: no one else may write to it
+        stack.flags.writeable = False
+        self.stack, self.blocks, self._norms = stack, tuple(stack), None
+        return self
 
     @classmethod
     def coerce(cls, s) -> "MomentSequence":
         return s if isinstance(s, cls) else cls(s)
+
+    @property
+    def norms(self) -> tuple[tuple[float, float], ...]:
+        """(||s_j||_F, ||s_j - s_j^H||_F) for each block s_j."""
+        if self._norms is None:
+            self._norms = tuple((frobenius(b), frobenius(b - b.conj().T)) for b in self.blocks)
+        return self._norms
 
     @property
     def q(self) -> int:
@@ -106,13 +118,22 @@ class MomentSequence:
     def prefix(self, length: int) -> "MomentSequence":
         if not 1 <= length <= len(self):
             raise IndexOutOfRange(f"prefix length {length} outside 1..{len(self)}")
-        return MomentSequence(self.blocks[:length])
+        return object.__new__(MomentSequence)._hold(self.stack[:length])
 
     def with_last(self, block) -> "MomentSequence":
-        return MomentSequence(self.blocks[:-1] + (block,))
+        return self._joined(self.stack[:-1], block)
 
     def appended(self, block) -> "MomentSequence":
-        return MomentSequence(self.blocks + (block,))
+        return self._joined(self.stack, block)
+
+    def _joined(self, head: Array, block) -> "MomentSequence":
+        # only the new block is validated; head's blocks were when they came in
+        new = MomentSequence([block])
+        if not len(head):
+            return new
+        if head.shape[1:] != new.stack.shape[1:]:
+            raise ShapeMismatch("all blocks must have the same size")
+        return object.__new__(MomentSequence)._hold(np.concatenate((head, new.stack)))
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"MomentSequence(q={self.q}, length={len(self)})"
@@ -144,24 +165,29 @@ def block_hankel(s, n: int) -> Array:
         raise IndexOutOfRange(f"block Hankel order {n} is negative")
     if 2 * n > s.kappa:
         raise IndexOutOfRange(f"block Hankel of order {n} needs blocks up to 2n={2 * n}")
-    rows = [np.hstack([s[j + k] for k in range(n + 1)]) for j in range(n + 1)]
-    return np.vstack(rows)
+    # gather s_{j+k} into a fresh (j, k, row, col) array, laid out as (j, row) x (k, col)
+    r = np.arange(n + 1)
+    grid = s.stack[r[:, None] + r]
+    return grid.transpose(0, 2, 1, 3).reshape((n + 1) * s.q, (n + 1) * s.q)
+
+
+def _strip(s, l: int, m: int) -> Array:
+    s = MomentSequence.coerce(s)
+    if not 0 <= l <= m <= s.kappa:
+        raise IndexOutOfRange(f"block range {l}..{m} outside 0..{s.kappa}")
+    return s.stack[l : m + 1]
 
 
 def y_block(s, l: int, m: int) -> Array:
     """The block column col(s_l, ..., s_m)."""
-    s = MomentSequence.coerce(s)
-    if not 0 <= l <= m <= s.kappa:
-        raise IndexOutOfRange(f"block range {l}..{m} outside 0..{s.kappa}")
-    return np.vstack([s[j] for j in range(l, m + 1)])
+    strip = _strip(s, l, m)
+    return strip.reshape(-1, strip.shape[2]).copy()
 
 
 def z_block(s, l: int, m: int) -> Array:
     """The block row row(s_l, ..., s_m)."""
-    s = MomentSequence.coerce(s)
-    if not 0 <= l <= m <= s.kappa:
-        raise IndexOutOfRange(f"block range {l}..{m} outside 0..{s.kappa}")
-    return np.hstack([s[j] for j in range(l, m + 1)])
+    strip = _strip(s, l, m)
+    return strip.transpose(1, 0, 2).reshape(strip.shape[1], -1).copy()
 
 
 def theta(s, n: int, tol=None) -> Array:
@@ -178,11 +204,8 @@ def theta(s, n: int, tol=None) -> Array:
         return np.zeros((s.q, s.q), dtype=complex)
     if 2 * n - 1 > s.kappa:
         raise IndexOutOfRange(f"theta({n}) needs blocks up to {2 * n - 1}")
-    H = block_hankel(s, n - 1)
-    y = y_block(s, n, 2 * n - 1)
-    z = z_block(s, n, 2 * n - 1)
-    raw = z @ pinv(H, t) @ y
-    if all(is_hermitian(s[j], t) for j in range(2 * n)):
+    raw = z_block(s, n, 2 * n - 1) @ pinv(block_hankel(s, n - 1), t) @ y_block(s, n, 2 * n - 1)
+    if all(a <= t.threshold(f) for f, a in s.norms[: 2 * n]):
         # z = y^H and H^+ is Hermitian, so the exact value is Hermitian;
         # symmetrizing strips rounding noise that would otherwise dominate
         # the near-zero residuals s_{2n} - Theta_n
@@ -196,9 +219,9 @@ class Tower:
     With ``alpha`` None it is the Hamburger problem: the plain tower, with a
     slack at every even index.  Otherwise it is the Stieltjes problem on
     [alpha, oo): the shifted tower joins in and every index holds a slack.
-    A tower serves one public call; it keeps every Theta_k, Hankel verdict
-    and clipped slack pair it computes.  The README's "One engine for both
-    moment problems" sets out u, kappa and R.
+    A tower serves one public call; it keeps every Theta_k, Hankel verdict and
+    clipped slack pair it computes (the sequence keeps what no tolerance moves).
+    The README's "One engine for both moment problems" sets out u, kappa and R.
     """
 
     def __init__(self, s, tol=None, alpha=None):
@@ -226,7 +249,7 @@ class Tower:
     @cached_property
     def _sizes(self) -> list[float]:
         # max_{j <= i} ||s_j||_F: the block scale of s_0..s_i
-        return list(accumulate((frobenius(b) for b in self.s), max))
+        return list(accumulate((f for f, _ in self.s.norms), max))
 
     def _scale(self, size: float) -> float:
         # the working scale of the slacks: shifted blocks reach (1 + |alpha|) size
@@ -363,7 +386,7 @@ class Tower:
         t = self.t
         R = self.r(m)
         prefix_equal = all(
-            frobenius(r[j] - s[j]) <= t.threshold(frobenius(s[j])) for j in range(m)
+            frobenius(r[j] - s[j]) <= t.threshold(s.norms[j][0]) for j in range(m)
         )
         # judge the differences at the block scale, as the slacks are judged
         scale = self._scale(max(self._sizes[m], frobenius(r[m])))

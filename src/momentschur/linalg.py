@@ -30,7 +30,11 @@ class Tolerance:
             raise ValueError("eps_rel must be positive")
 
     def threshold(self, scale: float) -> float:
-        """Absolute cutoff for magnitudes at the given spectral scale."""
+        """Absolute cutoff eps_rel * max(1, scale) at the given spectral scale.
+
+        The floor max(1, scale) is the contract: verdicts are scale-invariant
+        at unit scale and above, and not below it.
+        """
         return self.eps_rel * max(1.0, abs(float(scale)))
 
 

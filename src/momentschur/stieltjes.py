@@ -40,7 +40,7 @@ def alpha_shift(s, alpha: float) -> MomentSequence:
     s = MomentSequence.coerce(s)
     if len(s) < 2:
         raise TooShort("alpha_shift needs at least two blocks")
-    return MomentSequence([-alpha * s[j] + s[j + 1] for j in range(s.kappa)])
+    return MomentSequence(-alpha * s.stack[:-1] + s.stack[1:])
 
 
 def is_knnd(s, alpha: float, tol=None) -> bool:

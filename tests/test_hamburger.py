@@ -103,6 +103,44 @@ class TestBlockHankel:
             y_block(s, 2, 1)
 
 
+def _complex_sequence(q, length, seed):
+    rng = np.random.default_rng([q, length, seed])
+    shape = (length, q, q)
+    return MomentSequence(list(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+
+
+class TestHankelSections:
+    """Gathers from the block stack against the explicit block layout."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("length", [1, 2, 5, 6])
+    def test_match_explicit_construction(self, q, length):
+        s = _complex_sequence(q, length, 0)
+        for n in range(s.kappa // 2 + 1):
+            H = np.vstack([np.hstack([s[j + k] for k in range(n + 1)]) for j in range(n + 1)])
+            np.testing.assert_array_equal(block_hankel(s, n), H)
+        for l in range(len(s)):
+            for m in range(l, len(s)):
+                strip = [s[j] for j in range(l, m + 1)]
+                np.testing.assert_array_equal(y_block(s, l, m), np.vstack(strip))
+                np.testing.assert_array_equal(z_block(s, l, m), np.hstack(strip))
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_results_are_fresh_and_writable(self, q):
+        s = _complex_sequence(q, 5, 1)
+        before = (block_hankel(s, 2), theta(s, 2), classify_hamburger(s))
+        for out in (block_hankel(s, 0), block_hankel(s, 2), y_block(s, 0, 0),
+                    y_block(s, 1, 4), z_block(s, 3, 3), z_block(s, 0, 4)):
+            assert out.flags.writeable
+            out[...] = 7.0
+        after = (block_hankel(s, 2), theta(s, 2), classify_hamburger(s))
+        np.testing.assert_array_equal(after[0], before[0])
+        np.testing.assert_array_equal(after[1], before[1])
+        assert after[2].is_hnnd == before[2].is_hnnd
+        np.testing.assert_array_equal(after[2].theta, before[2].theta)
+        np.testing.assert_array_equal(after[2].L, before[2].L)
+
+
 class TestThetaAndL:
     def test_theta_zero_at_base(self):
         np.testing.assert_allclose(theta([7, 1, 2], 0), [[0.0]])
@@ -168,6 +206,28 @@ class TestIsHnnde:
             s = nonextendable_hamburger(rng, 3, n)
             assert is_hnnd(s)
             assert not is_hnnde(s)
+
+
+class TestToleranceFloor:
+    """The absolute floor max(1, scale) of Tolerance.threshold is the contract.
+
+    Above unit scale the cutoff grows with the data.  Below it the cutoff
+    stays eps_rel while the data shrinks: these sequences keep their verdict
+    down to c = 1e-9, and at c = 1e-12 every slack counts as zero.
+    """
+
+    @staticmethod
+    def scaled(c, seed):
+        s = nonextendable_hamburger(np.random.default_rng(seed), 2, 2)
+        return MomentSequence([c * b for b in s])
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e12])
+    def test_nonextendable_verdict_survives_scaling(self, c):
+        assert not any(is_hnnde(self.scaled(c, seed)) for seed in range(20))
+
+    def test_verdict_flips_far_below_unit_scale(self):
+        # at c = 1e-12 every block is below the floor eps_rel = 1e-10
+        assert all(is_hnnde(self.scaled(1e-12, seed)) for seed in range(20))
 
 
 class TestRUpper:

@@ -1,4 +1,5 @@
-"""Work done by the tower engine: each Theta_k of each tower once per call."""
+"""Work done by the tower engine: each Theta_k of each tower once per call,
+and each block norm of a sequence once for all calls on it."""
 
 from collections import Counter
 
@@ -72,3 +73,31 @@ def test_stieltjes_calls_evaluate_each_theta_once(theta_calls, name, length):
     s = stieltjes_measure_sequence(np.random.default_rng(length), ALPHA, 2, length, n_atoms=2)
     STIELTJES_CALLS[name](s)
     assert theta_calls and max(theta_calls.values()) == 1
+
+
+def test_block_norms_are_computed_once_per_sequence(monkeypatch):
+    """Classify, 8 interval tests and 2 class tests on one sequence compute
+    each block's two norms once."""
+    rng = np.random.default_rng(5)
+    s = hamburger_measure_sequence(rng, 2, 7, n_atoms=3)
+    # a distinct anti-Hermitian part per block, far below the tolerance, so
+    # that each call of ||s_j - s_j^H||_F can be told from the others
+    s = M.MomentSequence([b + 1e-13j * (j + 1) * np.eye(2) for j, b in enumerate(s)])
+    keys = [b.tobytes() for b in s] + [(b - b.conj().T).tobytes() for b in s]
+    calls = Counter()
+    real = hamburger.frobenius
+
+    def counted(A):
+        calls[np.asarray(A).tobytes()] += 1
+        return real(A)
+
+    monkeypatch.setattr(hamburger, "frobenius", counted)
+    M.classify_hamburger(s)
+    last, lower = s[s.kappa], M.theta(s, s.kappa // 2)
+    for T in (last, 0.5 * (lower + last), last + np.eye(2), lower - np.eye(2)):
+        for bound in ("given_s2n", "r_upper"):
+            M.in_extension_interval(s, T, bound)
+    canonical = M.canonical_rep(s)
+    M.same_class(s, canonical)
+    M.same_class(s, canonical.with_last(canonical[s.kappa] + np.eye(2)))
+    assert [calls[k] for k in keys] == [1] * len(keys)
