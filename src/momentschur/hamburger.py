@@ -60,10 +60,13 @@ class MomentSequence:
     and become 1x1 blocks, so ``MomentSequence([1, 0, 1])`` works as expected.
     ``stack`` holds them as one read-only (kappa+1, q, q) array and the blocks
     are its slices; ``norms`` holds each block's norms, computed once, when
-    first needed.  Neither depends on a tolerance.
+    first needed.  A sequence is immutable.  It also holds one ``Tower``, with
+    its key: that of the last (tolerance, alpha) a public function asked it
+    about (see ``Tower.of``), so that further questions under the same pair
+    reuse it.
     """
 
-    __slots__ = ("stack", "blocks", "_norms")
+    __slots__ = ("stack", "blocks", "_norms", "_held")
 
     def __init__(self, blocks):
         mats = []
@@ -81,7 +84,7 @@ class MomentSequence:
     def _hold(self, stack: Array) -> "MomentSequence":
         # stack holds validated blocks: no one else may write to it
         stack.flags.writeable = False
-        self.stack, self.blocks, self._norms = stack, tuple(stack), None
+        self.stack, self.blocks, self._norms, self._held = stack, tuple(stack), None, None
         return self
 
     @classmethod
@@ -213,14 +216,43 @@ def theta(s, n: int, tol=None) -> Array:
     return raw
 
 
+def _frozen(A: Array) -> Array:
+    A.flags.writeable = False
+    return A
+
+
+def _key(tol, alpha):
+    """What a held tower is matched on: eps_rel, and alpha's type and bits.
+
+    Bits, not ==: alpha = 0.0 and -0.0 give answers that differ in the signs
+    of zeros.  None for a tolerance or alpha of any other kind, an invalid
+    tolerance included; such a call gets a tower of its own, which raises
+    where a fresh tower does.
+    """
+    try:
+        t = as_tolerance(tol)
+    except (TypeError, ValueError, OverflowError):  # what float() and Tolerance raise
+        return None
+    if type(t) is not Tolerance or type(t.eps_rel) is not float:
+        return None
+    if alpha is None or isinstance(alpha, int):
+        return t.eps_rel, type(alpha), alpha
+    if isinstance(alpha, (float, complex, np.number)):
+        return t.eps_rel, type(alpha), np.asarray(alpha).tobytes()
+    return None
+
+
 class Tower:
     """The Hankel towers of one moment problem, each quantity computed once.
 
     With ``alpha`` None it is the Hamburger problem: the plain tower, with a
     slack at every even index.  Otherwise it is the Stieltjes problem on
     [alpha, oo): the shifted tower joins in and every index holds a slack.
-    A tower serves one public call; it keeps every Theta_k, Hankel verdict and
-    clipped slack pair it computes (the sequence keeps what no tolerance moves).
+    A tower keeps every quantity it computes that depends on the sequence,
+    the tolerance and alpha alone: each Theta_k of both towers, the shift,
+    every Hankel verdict, clipped slack pair, extendability verdict and R_m.
+    Kept arrays are read-only; the arrays a tower hands out are fresh,
+    writable copies (the blocks of the sequence itself stay read-only).
     The README's "One engine for both moment problems" sets out u, kappa and R.
     """
 
@@ -233,6 +265,27 @@ class Tower:
         self._thetas = {}
         self._nnds = {}
         self._clips = {}
+        self._nndes = {}
+        self._rs = {}
+
+    @classmethod
+    def of(cls, s, tol=None, alpha=None) -> "Tower":
+        """The tower s holds, if it was made for (tol, alpha); else a new one s then holds.
+
+        Its answers are those of a fresh ``Tower(s, tol, alpha)``, bit for bit.
+        """
+        s = MomentSequence.coerce(s)
+        key = _key(tol, alpha)
+        if key is None:
+            return cls(s, tol, alpha)
+        held = s._held  # read once: another thread may replace it
+        if held is None or held[0] != key:
+            # the tower reads a twin of s with the same stack and norms, so
+            # that nothing s holds points back at s and frees it
+            twin = object.__new__(MomentSequence)._hold(s.stack)
+            twin._norms = s.norms
+            held = s._held = key, cls(twin, tol, alpha)
+        return held[1]
 
     @cached_property
     def t(self) -> Tolerance:
@@ -266,7 +319,7 @@ class Tower:
 
     def _theta(self, k: int, shifted: bool = False) -> Array:
         if (shifted, k) not in self._thetas:
-            self._thetas[shifted, k] = theta(self.shift if shifted else self.s, k, self.t)
+            self._thetas[shifted, k] = _frozen(theta(self.shift if shifted else self.s, k, self.t))
         return self._thetas[shifted, k]
 
     def u(self, j: int) -> Array:
@@ -274,7 +327,7 @@ class Tower:
         if j == -1:
             return np.zeros((self.s.q, self.s.q), dtype=complex)
         if j % 2 == 1:
-            return self._theta((j + 1) // 2)
+            return self._theta((j + 1) // 2).copy()
         base = self.alpha * self.s[j]
         return base if j == 0 else base + self._theta(j // 2, shifted=True)
 
@@ -304,8 +357,8 @@ class Tower:
         if m not in self._clips:
             scale = self._scale(self._sizes[m])
             self._clips[m] = (
-                psd_clip(self.kappa(m), scale, self.t),
-                psd_clip(self.kappa(m - self.step), scale, self.t),
+                _frozen(psd_clip(self.kappa(m), scale, self.t)),
+                _frozen(psd_clip(self.kappa(m - self.step), scale, self.t)),
             )
         return self._clips[m]
 
@@ -317,6 +370,11 @@ class Tower:
         At an odd m the plain tower has no slack: the minimal completion
         s_{m+1} = u_m must leave the sequence nonnegative definite.
         """
+        if m not in self._nndes:
+            self._nndes[m] = self._nnde(m)
+        return self._nndes[m]
+
+    def _nnde(self, m: int) -> bool:
         if m % self.step:
             return Tower(self.s.prefix(m + 1).appended(self.u(m)), self.t).nnd(m + 1)
         if m == 0:
@@ -338,9 +396,11 @@ class Tower:
             )
         if m == 0:
             return self.s[0]
-        k_m, k_prev = self._clipped(m)
-        V = subspace_from_columns(k_prev, self.t)
-        return self.u(m - 1) + schur_complement(k_m, V, self.t).S
+        if m not in self._rs:
+            k_m, k_prev = self._clipped(m)
+            V = subspace_from_columns(k_prev, self.t)
+            self._rs[m] = _frozen(self.u(m - 1) + schur_complement(k_m, V, self.t).S)
+        return self._rs[m].copy()
 
     def interval(self, t_last, bound: str) -> tuple[Array, Array, bool]:
         """(lower, upper, member) of the admissible interval for the last block.
@@ -414,12 +474,12 @@ def l_matrix(s, n: int, tol=None) -> Array:
     s = MomentSequence.coerce(s)
     if 2 * n > s.kappa:
         raise IndexOutOfRange(f"l_matrix({n}) needs blocks up to {2 * n}")
-    return Tower(s, tol).kappa(2 * n)
+    return Tower.of(s, tol).kappa(2 * n)
 
 
 def is_hnnd(s, tol=None) -> bool:
     """Is H_n PSD?  Only defined for odd-length sequences (kappa = 2n)."""
-    tower = Tower(s, tol)
+    tower = Tower.of(s, tol)
     return tower.nnd(tower.top())
 
 
@@ -431,7 +491,7 @@ def is_hnnde(s, tol=None) -> bool:
     ran L_{n-1}.  Even length: the candidate s_{2n} := Theta_n (the minimal
     completion, forcing L_n = 0) must give a nonnegative definite sequence.
     """
-    tower = Tower(s, tol)
+    tower = Tower.of(s, tol)
     return tower.nnde(tower.s.kappa)
 
 
@@ -454,7 +514,7 @@ def canonical_rep(s, tol=None) -> MomentSequence:
     The result is extendable, lies in the same class as the input, and is the
     unique extendable member of that class.
     """
-    tower = Tower(s, tol)
+    tower = Tower.of(s, tol)
     return tower.s.with_last(tower.r(tower.top()))
 
 
@@ -465,7 +525,7 @@ def in_extension_interval(s, t_last, bound: str = "given_s2n", tol=None) -> bool
     last blocks of nonnegative definite sequences below the given one);
     bound="r_upper" tests Theta_n <= t <= R_n (the extendable analogue).
     """
-    return Tower(s, tol).interval(t_last, bound)[2]
+    return Tower.of(s, tol).interval(t_last, bound)[2]
 
 
 def same_class(s, r, tol=None) -> bool:
@@ -474,13 +534,13 @@ def same_class(s, r, tol=None) -> bool:
     True iff r agrees with s below the last block, r_{2n} - R_n is PSD, and
     ran(r_{2n} - R_n) meets ran L_{n-1} only in 0.
     """
-    return all(Tower(s, tol).conditions(r))
+    return all(Tower.of(s, tol).conditions(r))
 
 
 def classify_hamburger(s, tol=None) -> HamburgerReport:
     """Gather the full Hamburger-side report for one sequence."""
     s = MomentSequence.coerce(s)
-    tower = Tower(s, as_tolerance(tol))
+    tower = Tower.of(s, as_tolerance(tol))
     m = tower.top()
     R = tower.r(m) if tower.nnd(m) else None
     return HamburgerReport(

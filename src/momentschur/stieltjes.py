@@ -40,7 +40,13 @@ def alpha_shift(s, alpha: float) -> MomentSequence:
     s = MomentSequence.coerce(s)
     if len(s) < 2:
         raise TooShort("alpha_shift needs at least two blocks")
-    return MomentSequence(-alpha * s.stack[:-1] + s.stack[1:])
+    shifted = -alpha * s.stack[:-1] + s.stack[1:]
+    if shifted.dtype != complex or shifted.shape != s.stack[1:].shape:
+        # an alpha that is not a double (an array, a long double, an object)
+        # gets the constructor's conversion and checks
+        return MomentSequence(shifted)
+    # the blocks of s were validated when they came in
+    return object.__new__(MomentSequence)._hold(shifted)
 
 
 def is_knnd(s, alpha: float, tol=None) -> bool:
@@ -49,7 +55,7 @@ def is_knnd(s, alpha: float, tol=None) -> bool:
     m = 0: s_0 PSD; m = 2n: H_n and H_{alpha,n-1} PSD; m = 2n+1: H_n and
     H_{alpha,n} PSD.
     """
-    tower = Tower(s, tol, alpha)
+    tower = Tower.of(s, tol, alpha)
     return tower.nnd(tower.top())
 
 
@@ -58,7 +64,7 @@ def kappa(s, alpha: float, j: int, tol=None) -> Array:
     s = MomentSequence.coerce(s)
     if not 0 <= j <= s.kappa:
         raise IndexOutOfRange(f"kappa index {j} outside 0..{s.kappa}")
-    return Tower(s, tol, alpha).kappa(j)
+    return Tower.of(s, tol, alpha).kappa(j)
 
 
 def u_lower(s, alpha: float, m: int, tol=None) -> Array:
@@ -70,7 +76,7 @@ def u_lower(s, alpha: float, m: int, tol=None) -> Array:
     s = MomentSequence.coerce(s)
     if not -1 <= m <= s.kappa:
         raise IndexOutOfRange(f"u index {m} outside -1..{s.kappa}")
-    return Tower(s, tol, alpha).u(m)
+    return Tower.of(s, tol, alpha).u(m)
 
 
 def is_knnde(s, alpha: float, tol=None) -> bool:
@@ -80,7 +86,7 @@ def is_knnde(s, alpha: float, tol=None) -> bool:
     ran kappa_m inside ran kappa_{m-1}.  Base case m = 0: s_0 PSD (the
     completion s_1 := alpha s_0 always works then).
     """
-    tower = Tower(s, tol, alpha)
+    tower = Tower.of(s, tol, alpha)
     return tower.nnde(tower.top())
 
 
@@ -93,12 +99,12 @@ def r_upper_stieltjes(s, alpha: float, m: int, tol=None) -> Array:
     t = as_tolerance(tol)
     if not 0 <= m <= s.kappa:
         raise IndexOutOfRange(f"r_upper index {m} outside 0..{s.kappa}")
-    return Tower(s, t, alpha).r(m)
+    return Tower.of(s, t, alpha).r(m)
 
 
 def canonical_rep_stieltjes(s, alpha: float, tol=None) -> MomentSequence:
     """The sequence with its last block replaced by R_m (class representative)."""
-    tower = Tower(s, tol, alpha)
+    tower = Tower.of(s, tol, alpha)
     return tower.s.with_last(tower.r(tower.top()))
 
 
@@ -110,18 +116,18 @@ def in_extension_interval_stieltjes(
     bound="given_sm" tests u_{m-1} <= t <= s_m; bound="r_upper" tests
     u_{m-1} <= t <= R_m (last blocks of extendable sequences).
     """
-    return Tower(s, tol, alpha).interval(t_last, bound)[2]
+    return Tower.of(s, tol, alpha).interval(t_last, bound)[2]
 
 
 def same_class_stieltjes(s, r, alpha: float, tol=None) -> bool:
     """Do s and r share the same class of Stieltjes nonnegative extensions?"""
-    return all(Tower(s, tol, alpha).conditions(r))
+    return all(Tower.of(s, tol, alpha).conditions(r))
 
 
 def classify_stieltjes(s, alpha: float, tol=None) -> StieltjesReport:
     """Gather the full Stieltjes-side report for one sequence."""
     s = MomentSequence.coerce(s)
-    tower = Tower(s, as_tolerance(tol), alpha)
+    tower = Tower.of(s, as_tolerance(tol), alpha)
     m = s.kappa
     R = tower.r(m) if tower.nnd(m) else None
     return StieltjesReport(

@@ -1,6 +1,9 @@
-"""Work done by the tower engine: each Theta_k of each tower once per call,
-and each block norm of a sequence once for all calls on it."""
+"""Work done by the tower engine: each Theta_k of each tower once for all
+calls on one sequence under one tolerance and alpha, and each block norm of
+a sequence once for all calls on it."""
 
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -101,3 +104,72 @@ def test_block_norms_are_computed_once_per_sequence(monkeypatch):
     M.same_class(s, canonical)
     M.same_class(s, canonical.with_last(canonical[s.kappa] + np.eye(2)))
     assert [calls[k] for k in keys] == [1] * len(keys)
+
+
+def _measure(seed, alpha):
+    """Moments of a three-atom q = 2 measure, s_0..s_6."""
+    rng = np.random.default_rng(seed)
+    if alpha is None:
+        return hamburger_measure_sequence(rng, 2, 7, n_atoms=3)
+    return stieltjes_measure_sequence(rng, alpha, 2, 7, n_atoms=3)
+
+
+def _workflow(s, alpha):
+    """Classify, 8 interval tests and 2 class tests on s, as a user would."""
+    extra = () if alpha is None else (alpha,)
+    if alpha is None:
+        rep = M.classify_hamburger(s)
+        lower, given = rep.theta, "given_s2n"
+        interval, same, canonical_rep = M.in_extension_interval, M.same_class, M.canonical_rep
+    else:
+        rep = M.classify_stieltjes(s, alpha)
+        lower, given = rep.u[-1], "given_sm"
+        interval, same = M.in_extension_interval_stieltjes, M.same_class_stieltjes
+        canonical_rep = M.canonical_rep_stieltjes
+    last, eye = s[s.kappa], np.eye(s.q)
+    for T in (last, 0.5 * (lower + last), last + eye, lower - eye):
+        for bound in (given, "r_upper"):
+            interval(s, *extra, T, bound)
+    canonical = canonical_rep(s, *extra)
+    same(s, canonical, *extra)
+    same(s, canonical.with_last(canonical[s.kappa] + eye), *extra)
+
+
+@pytest.mark.parametrize("alpha", [None, ALPHA])
+def test_one_sequence_evaluates_each_theta_once_across_calls(theta_calls, alpha):
+    """The sequence holds its tower: a second question reuses every Theta,
+    and a question under another tolerance evaluates each once more."""
+    s = _measure(6, alpha)
+    _workflow(s, alpha)
+    assert theta_calls and set(theta_calls.values()) == {1}
+    extra = () if alpha is None else (alpha,)
+    classify = M.classify_hamburger if alpha is None else M.classify_stieltjes
+    classify(s, *extra, tol=1e-8)
+    assert set(theta_calls.values()) == {2}
+
+
+def test_equal_tolerances_share_one_tower(theta_calls):
+    s = stieltjes_measure_sequence(np.random.default_rng(8), ALPHA, 2, 6, n_atoms=2)
+    M.classify_stieltjes(s, ALPHA)
+    evaluated = sum(theta_calls.values())
+    for tol in (M.Tolerance(), 1e-10, np.float64(1e-10), None):
+        M.classify_stieltjes(s, ALPHA, tol)
+        M.is_knnde(s, ALPHA, tol)
+    assert sum(theta_calls.values()) == evaluated
+    M.is_knnde(s, ALPHA, 1e-8)
+    assert sum(theta_calls.values()) == 2 * evaluated
+
+
+@pytest.mark.parametrize("alpha", [None, ALPHA])
+def test_sequence_holding_a_tower_is_freed_without_the_cycle_collector(alpha):
+    """Nothing the held tower keeps points back at its sequence."""
+    gc.disable()
+    try:
+        s = _measure(9, alpha)
+        _workflow(s, alpha)
+        assert s._held is not None
+        stack = weakref.ref(s.stack)
+        del s
+        assert stack() is None
+    finally:
+        gc.enable()
