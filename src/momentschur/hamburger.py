@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+import struct
 
 import numpy as np
 
@@ -60,10 +61,12 @@ class MomentSequence:
     and become 1x1 blocks, so ``MomentSequence([1, 0, 1])`` works as expected.
     ``stack`` holds them as one read-only (kappa+1, q, q) array and the blocks
     are its slices; ``norms`` holds each block's norms, computed once, when
-    first needed.  A sequence is immutable.  It also holds one ``Tower``, with
+    first needed.  Its blocks never change.  It also holds one ``Tower``, with
     its key: that of the last (tolerance, alpha) a public function asked it
     about (see ``Tower.of``), so that further questions under the same pair
-    reuse it.
+    reuse it.  The tower is freed with the sequence or when another key
+    replaces it; until then it costs about 2-3 times the sequence's own
+    arrays (Hamburger) or 5 times (Stieltjes, which adds the shift).
     """
 
     __slots__ = ("stack", "blocks", "_norms", "_held")
@@ -222,24 +225,22 @@ def _frozen(A: Array) -> Array:
 
 
 def _key(tol, alpha):
-    """What a held tower is matched on: eps_rel, and alpha's type and bits.
+    """What a held tower is matched on: eps_rel, and the bits of alpha.
 
-    Bits, not ==: alpha = 0.0 and -0.0 give answers that differ in the signs
-    of zeros.  None for a tolerance or alpha of any other kind, an invalid
-    tolerance included; such a call gets a tower of its own, which raises
-    where a fresh tower does.
+    Bits, not ==: alpha = 0.0 and -0.0 (or NaN and -NaN) give answers that
+    differ in signs.  None for an alpha that is neither None nor a float, and
+    for a tolerance of any other kind, an invalid one included; such a call
+    gets a tower of its own, which raises where a fresh tower does.
     """
+    if not (alpha is None or type(alpha) is float):
+        return None
     try:
         t = as_tolerance(tol)
     except (TypeError, ValueError, OverflowError):  # what float() and Tolerance raise
         return None
     if type(t) is not Tolerance or type(t.eps_rel) is not float:
         return None
-    if alpha is None or isinstance(alpha, int):
-        return t.eps_rel, type(alpha), alpha
-    if isinstance(alpha, (float, complex, np.number)):
-        return t.eps_rel, type(alpha), np.asarray(alpha).tobytes()
-    return None
+    return t.eps_rel, None if alpha is None else struct.pack("d", alpha)
 
 
 class Tower:

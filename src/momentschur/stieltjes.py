@@ -40,13 +40,7 @@ def alpha_shift(s, alpha: float) -> MomentSequence:
     s = MomentSequence.coerce(s)
     if len(s) < 2:
         raise TooShort("alpha_shift needs at least two blocks")
-    shifted = -alpha * s.stack[:-1] + s.stack[1:]
-    if shifted.dtype != complex or shifted.shape != s.stack[1:].shape:
-        # an alpha that is not a double (an array, a long double, an object)
-        # gets the constructor's conversion and checks
-        return MomentSequence(shifted)
-    # the blocks of s were validated when they came in
-    return object.__new__(MomentSequence)._hold(shifted)
+    return MomentSequence(-alpha * s.stack[:-1] + s.stack[1:])
 
 
 def is_knnd(s, alpha: float, tol=None) -> bool:

@@ -135,15 +135,16 @@ def test_report_fields_are_writable_copies():
     assert fingerprint(M.u_lower(s, 0.5, 3)) == fingerprint(M.u_lower(s2, 0.5, 3))
 
 
-def test_signed_zero_alpha_keys_its_own_tower():
-    s = measure(11, 2, 5, 0.0)
-    plus, minus = M.classify_stieltjes(fresh(s), 0.0), M.classify_stieltjes(fresh(s), -0.0)
-    # 0.0 s_0 and -0.0 s_0 differ in the signs of their zeros
-    assert fingerprint(plus) != fingerprint(minus)
-    M.classify_stieltjes(s, 0.0)
-    assert fingerprint(M.classify_stieltjes(s, -0.0)) == fingerprint(minus)
-    assert fingerprint(M.classify_stieltjes(s, 0.0)) == fingerprint(plus)
-    assert fingerprint(M.u_lower(s, -0.0, 0)) == fingerprint(M.u_lower(fresh(s), -0.0, 0))
+@pytest.mark.parametrize("plus", [0.0, float("nan")])
+def test_alpha_of_the_other_sign_keys_its_own_tower(plus):
+    s, minus = measure(11, 2, 5, 0.0), -plus
+    # alpha s_0 carries the sign of alpha into its zeros (or NaNs)
+    assert fingerprint(M.u_lower(fresh(s), plus, 0)) != fingerprint(M.u_lower(fresh(s), minus, 0))
+    for name, call in public_calls(s, minus).items():
+        outcome(lambda x, tol: M.classify_stieltjes(x, plus), s)
+        assert fingerprint(outcome(call, s)) == fingerprint(outcome(call, fresh(s))), name
+    for name, call in public_calls(s, plus).items():
+        assert fingerprint(outcome(call, s)) == fingerprint(outcome(call, fresh(s))), name
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1, np.float64(0.5), np.float32(0.5), 0.5 + 0j, True])
