@@ -38,7 +38,6 @@ from .linalg import (
     Tolerance,
     fiber_projector,
     hermitian_eig,
-    is_psd,
     loewner_leq,
     numerical_rank,
     pinv,
@@ -125,7 +124,6 @@ __all__ = [
     "is_hnnde",
     "is_knnd",
     "is_knnde",
-    "is_psd",
     "is_unique_split",
     "kappa",
     "l_matrix",

@@ -38,11 +38,11 @@ from .errors import (
 from .linalg import (
     Array,
     Tolerance,
+    _require_hermitian,
     as_matrix,
     as_tolerance,
     frobenius,
     herm_part,
-    is_hermitian,
     loewner_leq,
     pinv,
     psd_clip,
@@ -329,7 +329,8 @@ class Tower:
             return np.zeros((self.s.q, self.s.q), dtype=complex)
         if j % 2 == 1:
             return self._theta((j + 1) // 2).copy()
-        base = self.alpha * self.s[j]
+        # complex128 like the shift's blocks, whatever the type of alpha
+        base = (self.alpha * self.s[j]).astype(complex, copy=False)
         return base if j == 0 else base + self._theta(j // 2, shifted=True)
 
     def kappa(self, j: int) -> Array:
@@ -417,8 +418,7 @@ class Tower:
         q = self.s.q
         if T.shape != (q, q):
             raise DimensionMismatch(f"candidate block has shape {T.shape}, expected {(q, q)}")
-        if not is_hermitian(T, t):
-            raise NotHermitian("candidate last block must be Hermitian")
+        _require_hermitian(T, t, "candidate last block must be Hermitian")
         lower = self.u(m - 1)
         if bound == self.given:
             upper = self.s[m]

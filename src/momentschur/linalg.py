@@ -74,12 +74,34 @@ def frobenius(A) -> float:
     return float(np.linalg.norm(A))
 
 
+def _lapack(name: str, *args, **kwargs):
+    """``np.linalg.<name>(*args, **kwargs)``; a LAPACK failure raises NoConvergence."""
+    try:
+        return getattr(np.linalg, name)(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        what = "singular value decomposition" if name == "svd" else "eigensolver"
+        raise NoConvergence(f"{what} did not converge: {exc}") from exc
+
+
+def _hermitian(M, t: Tolerance, thr=None) -> bool:
+    """The one Hermitian test of a square M: ||M - M^H||_F <= thr.
+
+    ``thr`` defaults to threshold(||M||_F).  NaN fails the test, and so does
+    an inf on the diagonal, where M - M^H holds NaN.
+    """
+    return frobenius(M - M.conj().T) <= (t.threshold(frobenius(M)) if thr is None else thr)
+
+
+def _require_hermitian(M, t: Tolerance, message: str, error=NotHermitian, thr=None) -> None:
+    """Raise error(message) unless the square M passes the Hermitian test."""
+    if not _hermitian(M, t, thr):
+        raise error(message)
+
+
 def is_hermitian(A, tol=None) -> bool:
     t = as_tolerance(tol)
     M = as_matrix(A)
-    if M.shape[0] != M.shape[1]:
-        return False
-    return frobenius(M - M.conj().T) <= t.threshold(frobenius(M))
+    return M.shape[0] == M.shape[1] and _hermitian(M, t)
 
 
 def hermitian_eig(A, tol=None) -> tuple[Array, Array]:
@@ -91,13 +113,13 @@ def hermitian_eig(A, tol=None) -> tuple[Array, Array]:
     """
     t = as_tolerance(tol)
     M = _square(A)
-    if not is_hermitian(M, t):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    try:
-        w, U = np.linalg.eigh(herm_part(M))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
-    return w, U
+    _require_hermitian(M, t, "matrix is not Hermitian within tolerance")
+    return _lapack("eigh", herm_part(M))
+
+
+def _psd_floor(w, t: Tolerance, scale: float = 0.0) -> bool:
+    """Is min(w) >= -threshold(max(spectral radius, scale))?  w is ascending."""
+    return bool(w[0] >= -t.threshold(max(np.abs(w).max(), scale)))
 
 
 def _flatten_band(w, U, thr, f=None) -> Array:
@@ -111,6 +133,11 @@ def _flatten_band(w, U, thr, f=None) -> Array:
     return herm_part((U * (w if f is None else f(w))) @ U.conj().T)
 
 
+def _psd_root(w, U, t: Tolerance) -> Array:
+    """The PSD square root of U diag(w) U^H, as ``psd_sqrt`` takes it."""
+    return _flatten_band(w, U, t.threshold(np.abs(w).max()), np.sqrt)
+
+
 def psd_sqrt(A, tol=None) -> Array:
     """The unique PSD square root of a PSD matrix.
 
@@ -121,8 +148,7 @@ def psd_sqrt(A, tol=None) -> Array:
     raises NotPSD.
     """
     t = as_tolerance(tol)
-    w, U = hermitian_eig(A, t)
-    return _flatten_band(w, U, t.threshold(np.abs(w).max()), np.sqrt)
+    return _psd_root(*hermitian_eig(A, t), t)
 
 
 def psd_clip(A, scale, tol=None) -> Array:
@@ -138,10 +164,8 @@ def psd_clip(A, scale, tol=None) -> Array:
     t = as_tolerance(tol)
     M = _square(A)
     thr = t.threshold(max(float(scale), frobenius(M)))
-    if frobenius(M - M.conj().T) > thr:
-        raise NotHermitian("matrix is not Hermitian within the working-scale tolerance")
-    w, U = np.linalg.eigh(herm_part(M))
-    return _flatten_band(w, U, thr)
+    _require_hermitian(M, t, "matrix is not Hermitian within the working-scale tolerance", thr=thr)
+    return _flatten_band(*_lapack("eigh", herm_part(M)), thr)
 
 
 def pinv(A, tol=None) -> Array:
@@ -152,43 +176,53 @@ def pinv(A, tol=None) -> Array:
     so the rank seen here is the same rank the range predicates use.
     """
     t = as_tolerance(tol)
-    return _pinv(as_matrix(A), t, lambda v: v > t.threshold(v.max()))
+    return _pinv(as_matrix(A), t, _pinv_rule(t))
+
+
+def _pinv_rule(t: Tolerance):
+    """pinv's rank rule: a spectral magnitude v counts when above threshold(max v)."""
+    return lambda v: v > t.threshold(v.max())
 
 
 def _pinv(M, t: Tolerance, keep) -> Array:
     """M^+ inverting only the spectral magnitudes v where ``keep(v)`` holds."""
     if M.size == 0:
         return np.zeros((M.shape[1], M.shape[0]), dtype=complex)
-    if M.shape[0] == M.shape[1] and is_hermitian(M, t):
-        w, U = np.linalg.eigh(herm_part(M))
-        inv = np.zeros_like(w)
-        kept = keep(np.abs(w))
-        inv[kept] = 1.0 / w[kept]
-        return (U * inv) @ U.conj().T
-    U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    inv = np.zeros_like(s)
-    kept = keep(s)
-    inv[kept] = 1.0 / s[kept]
-    return (Vh.conj().T * inv) @ U.conj().T
+    if M.shape[0] == M.shape[1] and _hermitian(M, t):
+        w, U = _lapack("eigh", herm_part(M))
+        return _inverse(U, w, U, keep)
+    U, s, Vh = _lapack("svd", M, full_matrices=False)
+    return _inverse(Vh.conj().T, s, U, keep)
 
 
-def numerical_rank(M, tol=None) -> int:
+def _inverse(R, v, L, keep) -> Array:
+    """R diag(v)^+ L^H, inverting only the entries of v where keep(|v|) holds."""
+    inv = np.zeros_like(v)
+    kept = keep(np.abs(v))
+    inv[kept] = 1.0 / v[kept]
+    return (R * inv) @ L.conj().T
+
+
+def _svd_rank(M, tol, vectors: bool) -> tuple[Array | None, int]:
+    """(U, r): left singular vectors of M if ``vectors`` (else None), and its rank r."""
     t = as_tolerance(tol)
     A = as_matrix(M)
     if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    return int(np.count_nonzero(s > t.threshold(s[0])))
+        return np.zeros((A.shape[0], 0), dtype=complex), 0
+    if vectors:
+        U, s, _ = _lapack("svd", A, full_matrices=False)
+    else:
+        U, s = None, _lapack("svd", A, compute_uv=False)
+    return U, int(np.count_nonzero(s > t.threshold(s[0])))
+
+
+def numerical_rank(M, tol=None) -> int:
+    return _svd_rank(M, tol, False)[1]
 
 
 def orthonormal_columns(M, tol=None) -> Array:
     """Orthonormal basis of ran M; the rank is revealed by the SVD."""
-    t = as_tolerance(tol)
-    A = as_matrix(M)
-    if A.size == 0:
-        return np.zeros((A.shape[0], 0), dtype=complex)
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
-    r = int(np.count_nonzero(s > t.threshold(s[0])))
+    U, r = _svd_rank(M, tol, True)
     return U[:, :r].copy()
 
 
@@ -276,31 +310,13 @@ def fiber_projector(M, V: Subspace, tol=None) -> Array:
     return herm_part(np.eye(p) - _pinv(N, t, lambda v: v * norm > t.threshold(norm * norm)) @ N)
 
 
-def _psd_floor(H, t: Tolerance, scale: float = 0.0) -> tuple[float, bool]:
-    """The lowest eigenvalue of Hermitian H, and whether it is >= -threshold.
-
-    The threshold's scale is the spectral radius of H, or ``scale`` if larger.
-    """
-    w = np.linalg.eigvalsh(H)
-    return w[0], bool(w[0] >= -t.threshold(max(np.abs(w).max(), scale)))
-
-
-def is_psd(A, tol=None) -> bool:
-    """All eigenvalues >= -tol.  Raises NotHermitian for non-Hermitian input."""
-    t = as_tolerance(tol)
-    M = _square(A)
-    if not is_hermitian(M, t):
-        raise NotHermitian("is_psd requires a Hermitian matrix")
-    return _psd_floor(herm_part(M), t)[1]
-
-
 def psd_verdict(A, tol=None) -> bool:
-    """Like is_psd, but never raises: non-Hermitian input is simply not PSD."""
+    """Is A Hermitian and PSD within tolerance?  Any other matrix is simply not PSD."""
     t = as_tolerance(tol)
     M = as_matrix(A)
-    if M.shape[0] != M.shape[1] or not is_hermitian(M, t):
+    if M.shape[0] != M.shape[1] or not _hermitian(M, t):
         return False
-    return _psd_floor(herm_part(M), t)[1]
+    return _psd_floor(_lapack("eigvalsh", herm_part(M)), t)
 
 
 def loewner_leq(A, B, tol=None) -> bool:
@@ -317,10 +333,10 @@ def loewner_leq(A, B, tol=None) -> bool:
     if MA.shape != MB.shape:
         raise DimensionMismatch(f"cannot compare shapes {MA.shape} and {MB.shape}")
     for M in (MA, MB):
-        if not is_hermitian(M, t):
-            raise NotHermitian("Loewner comparison requires Hermitian matrices")
+        _require_hermitian(M, t, "Loewner comparison requires Hermitian matrices")
+    # a difference of two exactly Hermitian matrices is exactly Hermitian
     D = herm_part(MB) - herm_part(MA)
-    return _psd_floor(herm_part(D), t, max(frobenius(MA), frobenius(MB)))[1]
+    return _psd_floor(_lapack("eigvalsh", D), t, max(frobenius(MA), frobenius(MB)))
 
 
 def range_included(B, A, tol=None) -> bool:

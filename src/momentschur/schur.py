@@ -16,23 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD, SplitInvalid
+from .errors import DimensionMismatch, NoConvergence, NotPSD, SplitInvalid
 from .linalg import (
     Array,
     Subspace,
+    _inverse,
+    _lapack,
+    _pinv_rule,
     _psd_floor,
+    _psd_root,
+    _require_hermitian,
     as_matrix,
     as_tolerance,
     fiber_projector,
     frobenius,
     herm_part,
-    is_hermitian,
     loewner_leq,
     pinv,
-    psd_sqrt,
     psd_verdict,
     range_included,
-    range_projector,
     ranges_intersect_trivially,
 )
 
@@ -46,8 +48,13 @@ class SchurResult:
     complement: Array
 
 
-def _validated_psd(A, V, t) -> Array:
-    """Check A is square Hermitian PSD (within tolerance) and matches V; return (A+A^H)/2."""
+def _validated_psd(A, V, t, vectors=False) -> tuple[Array, Array, Array | None]:
+    """Check A is square Hermitian PSD (within tolerance) and matches V.
+
+    Returns (A+A^H)/2 with its eigenvalues w, from one factorization: an
+    ``eigh``, which also gives the eigenvectors U, when ``vectors`` is set and
+    V is not the whole space; else an ``eigvalsh``, and U is None.
+    """
     M = as_matrix(A)
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"A must be square, got shape {M.shape}")
@@ -55,30 +62,32 @@ def _validated_psd(A, V, t) -> Array:
         raise DimensionMismatch(
             f"A is {M.shape[0]}x{M.shape[0]} but V lives in C^{V.ambient_dim}"
         )
-    if not is_hermitian(M, t):
-        raise NotPSD("matrix is not Hermitian, hence not PSD")
+    _require_hermitian(M, t, "matrix is not Hermitian, hence not PSD", NotPSD)
     H = herm_part(M)
-    lowest, psd = _psd_floor(H, t)
-    if not psd:
-        raise NotPSD(f"eigenvalue {lowest:.6e} is below the PSD tolerance")
-    return H
+    if vectors and V.dim < H.shape[0]:
+        w, U = _lapack("eigh", H)
+    else:
+        w, U = _lapack("eigvalsh", H), None
+    if not _psd_floor(w, t):
+        raise NotPSD(f"eigenvalue {w[0]:.6e} is below the PSD tolerance")
+    return H, w, U
 
 
 def schur_complement(A, V: Subspace, tol=None) -> SchurResult:
     """S(A, V) by the defining square-root / fiber-projector route."""
     t = as_tolerance(tol)
-    M = _validated_psd(A, V, t)
+    M, w, U = _validated_psd(A, V, t, vectors=True)
     q = M.shape[0]
     d = V.dim
     if d == 0:
-        # S(A, {0}) = 0 and the fiber of sqrt(A) is null A
-        psi = herm_part(np.eye(q) - range_projector(M, t))
+        # S(A, {0}) = 0 and the fiber of sqrt(A) is null A: psi = I - M M^+
+        psi = herm_part(np.eye(q) - herm_part(M @ _inverse(U, w, U, _pinv_rule(t))))
         S = np.zeros((q, q), dtype=complex)
     elif d == q:
         psi = np.eye(q, dtype=complex)
         S = M
     else:
-        root = psd_sqrt(M, t)
+        root = _psd_root(w, U, t)
         psi = fiber_projector(root, V, t)
         S = herm_part(root @ psi @ root)
     return SchurResult(S=S, P_fiber=psi, complement=M - S)
@@ -91,7 +100,7 @@ def schur_complement_via_basis(A, V: Subspace, tol=None) -> Array:
     that B11 is d x d, the result is U diag(B11 - B12 B22^+ B21, 0) U^H.
     """
     t = as_tolerance(tol)
-    M = _validated_psd(A, V, t)
+    M = _validated_psd(A, V, t)[0]
     q = M.shape[0]
     d = V.dim
     if d == 0:
@@ -117,7 +126,7 @@ def variational_value(A, V: Subspace, x, tol=None) -> float:
     PSD, and it equals x^H S(A,V) x.
     """
     t = as_tolerance(tol)
-    M = _validated_psd(A, V, t)
+    M = _validated_psd(A, V, t)[0]
     v = np.asarray(x, dtype=complex).reshape(-1)
     if v.shape[0] != M.shape[0]:
         raise DimensionMismatch(f"x has length {v.shape[0]}, expected {M.shape[0]}")
@@ -141,8 +150,7 @@ def in_lcr(A, V: Subspace, X, tol=None) -> bool:
     if V.ambient_dim != MA.shape[0]:
         raise DimensionMismatch("V has the wrong ambient dimension")
     for M in (MA, MX):
-        if not is_hermitian(M, t):
-            raise NotHermitian("in_lcr requires Hermitian A and X")
+        _require_hermitian(M, t, "in_lcr requires Hermitian A and X")
     return (
         psd_verdict(MX, t)
         and loewner_leq(MX, MA, t)

@@ -1,0 +1,86 @@
+"""The one spectral kernel: one Hermitian test, one factorization per matrix
+and call, one LAPACK error path."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from conftest import random_psd, random_subspace, stieltjes_measure_sequence
+
+import momentschur as M
+from momentschur.linalg import loewner_leq, psd_verdict
+
+NON_FINITE = ([1.0, 0.0, np.inf], [1.0, np.nan, 1.0], [1.0, 0.0, 1.0, np.inf])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("s", NON_FINITE)
+def test_non_finite_sequences_are_not_extendable(s):
+    # NaN fails the Hermitian test wherever it is made, so the extendability
+    # verdicts agree with the nonnegative-definiteness ones
+    assert not M.is_hnnde(s)
+    assert not M.is_knnde(s, -0.5)
+    assert not M.is_knnd(s, -0.5)
+    if len(s) % 2:
+        assert not M.is_hnnd(s)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: M.pinv([[np.nan, 0.0]]),
+        lambda: M.numerical_rank([[np.nan]]),
+        lambda: M.subspace_from_columns([[np.nan]]),
+    ],
+    ids=["pinv", "numerical_rank", "subspace_from_columns"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lapack_failure_raises_no_convergence(call):
+    with pytest.raises(M.NoConvergence, match="did not converge"):
+        call()
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Count np.linalg.eigh and np.linalg.eigvalsh calls by name."""
+    counts = Counter()
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("d, eigh, eigvalsh", [(0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 0, 1)])
+def test_schur_complement_factorizes_its_input_once(factorizations, d, eigh, eigvalsh):
+    # eigh when the eigenvectors build the fiber or the root, eigvalsh when
+    # V is the whole space and S = A needs only the PSD verdict
+    rng = np.random.default_rng(5)
+    A = random_psd(rng, 3, 3)
+    V = random_subspace(rng, 3, d)
+    M.schur_complement(A, V)
+    assert (factorizations["eigh"], factorizations["eigvalsh"]) == (eigh, eigvalsh)
+
+
+def test_psd_verdicts_use_eigenvalues_only(factorizations):
+    rng = np.random.default_rng(7)
+    A, B = random_psd(rng, 3, 2), random_psd(rng, 3, 3)
+    psd_verdict(A)
+    assert (factorizations["eigh"], factorizations["eigvalsh"]) == (0, 1)
+    loewner_leq(A, B)
+    assert (factorizations["eigh"], factorizations["eigvalsh"]) == (0, 2)
+
+
+@pytest.mark.parametrize("length", [5, 6])
+def test_longdouble_alpha_gives_complex128(length):
+    alpha = np.longdouble(0.5)
+    s = stieltjes_measure_sequence(np.random.default_rng(11), 0.5, 2, length, n_atoms=3)
+    report = M.classify_stieltjes(s, alpha)
+    assert report.R is not None
+    arrays = [*report.kappa, *report.u, report.R, *report.canonical]
+    assert {a.dtype for a in arrays} == {np.dtype(complex)}
