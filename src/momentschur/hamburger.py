@@ -38,12 +38,12 @@ from .errors import (
 from .linalg import (
     Array,
     Tolerance,
-    _require_hermitian,
+    _checked,
+    _loewner_leq,
     as_matrix,
     as_tolerance,
     frobenius,
     herm_part,
-    loewner_leq,
     pinv,
     psd_clip,
     psd_verdict,
@@ -251,9 +251,11 @@ class Tower:
     [alpha, oo): the shifted tower joins in and every index holds a slack.
     A tower keeps every quantity it computes that depends on the sequence,
     the tolerance and alpha alone: each Theta_k of both towers, the shift,
-    every Hankel verdict, clipped slack pair, extendability verdict and R_m.
-    Kept arrays are read-only; the arrays a tower hands out are fresh,
-    writable copies (the blocks of the sequence itself stay read-only).
+    every Hankel verdict, clipped slack pair, extendability verdict and R_m,
+    and the Hermitian part and norm of each interval end that passed the
+    Hermitian test (a failed test is not kept).  Kept arrays are read-only;
+    the arrays a tower hands out are fresh, writable copies (the blocks of
+    the sequence itself stay read-only).
     The README's "One engine for both moment problems" sets out u, kappa and R.
     """
 
@@ -268,6 +270,7 @@ class Tower:
         self._clips = {}
         self._nndes = {}
         self._rs = {}
+        self._ends = {}
 
     @classmethod
     def of(cls, s, tol=None, alpha=None) -> "Tower":
@@ -378,6 +381,10 @@ class Tower:
 
     def _nnde(self, m: int) -> bool:
         if m % self.step:
+            # u_m reads s_0..s_m, and its pinv cannot factor a NaN or an inf;
+            # no nonnegative definite sequence holds one
+            if not np.isfinite(self.s.stack[: m + 1]).all():
+                return False
             return Tower(self.s.prefix(m + 1).appended(self.u(m)), self.t).nnd(m + 1)
         if m == 0:
             return self.nnd(0)
@@ -418,7 +425,7 @@ class Tower:
         q = self.s.q
         if T.shape != (q, q):
             raise DimensionMismatch(f"candidate block has shape {T.shape}, expected {(q, q)}")
-        _require_hermitian(T, t, "candidate last block must be Hermitian")
+        checked = _checked(T, t, "candidate last block must be Hermitian")
         lower = self.u(m - 1)
         if bound == self.given:
             upper = self.s[m]
@@ -426,7 +433,21 @@ class Tower:
             upper = self.r(m)
         else:
             raise ValueError(f"bound must be '{self.given}' or 'r_upper'")
-        return lower, upper, loewner_leq(lower, T, t) and loewner_leq(T, upper, t)
+        member = _loewner_leq(self._end("lower", lower), checked, t) and _loewner_leq(
+            checked, self._end(bound, upper), t
+        )
+        return lower, upper, member
+
+    def _end(self, name: str, end: Array) -> tuple[Array, float]:
+        """``_checked``'s (Hermitian part, norm) of the interval end ``name``.
+
+        The given s_m is tested on its stored norms.
+        """
+        if name not in self._ends:
+            norms = self.s.norms[self.s.kappa] if name == self.given else None
+            H, norm = _checked(end, self.t, "Loewner comparison requires Hermitian matrices", norms)
+            self._ends[name] = _frozen(H), norm
+        return self._ends[name]
 
     def conditions(self, r) -> tuple[bool, bool, bool]:
         """The class test against r, one verdict per condition.
@@ -446,18 +467,24 @@ class Tower:
             raise TooShort(self._too_short)
         t = self.t
         R = self.r(m)
-        prefix_equal = all(
+        # R_m is defined, so H holds s_0..s_{m-1} and passed the Hermitian
+        # test: they are finite, and equal blocks differ by exactly 0
+        prefix_equal = np.array_equal(r.stack[:m], s.stack[:m]) or all(
             frobenius(r[j] - s[j]) <= t.threshold(s.norms[j][0]) for j in range(m)
         )
         # judge the differences at the block scale, as the slacks are judged
-        scale = self._scale(max(self._sizes[m], frobenius(r[m])))
+        size = frobenius(r[m])
+        scale = self._scale(max(self._sizes[m], size))
         D = r[m] - R
         try:
             D = psd_clip(D, scale, t)
             difference_psd = True
         except (NotPSD, NotHermitian):
             difference_psd = False
-        k_prev = psd_clip(self.kappa(m - self.step), scale, t)
+        if size <= self._sizes[m]:
+            k_prev = self._clipped(m)[1]  # the clip R_m took, at this same scale
+        else:
+            k_prev = psd_clip(self.kappa(m - self.step), scale, t)
         return prefix_equal, difference_psd, ranges_intersect_trivially(D, k_prev, t)
 
 

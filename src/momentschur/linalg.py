@@ -75,27 +75,52 @@ def frobenius(A) -> float:
 
 
 def _lapack(name: str, *args, **kwargs):
-    """``np.linalg.<name>(*args, **kwargs)``; a LAPACK failure raises NoConvergence."""
+    """``np.linalg.<name>(*args, **kwargs)``; a LAPACK failure raises NoConvergence.
+
+    The SVD fails on non-finite input before LAPACK sees it, as it does on
+    NaN: given an inf in a 3 x 3 or larger matrix, its vector form never
+    returns.
+    """
     try:
+        if name == "svd" and not np.isfinite(args[0]).all():
+            raise np.linalg.LinAlgError("SVD did not converge")
         return getattr(np.linalg, name)(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
         what = "singular value decomposition" if name == "svd" else "eigensolver"
         raise NoConvergence(f"{what} did not converge: {exc}") from exc
 
 
-def _hermitian(M, t: Tolerance, thr=None) -> bool:
-    """The one Hermitian test of a square M: ||M - M^H||_F <= thr.
+def _skew_within(skew: float, thr: float) -> bool:
+    """The one Hermitian test, on skew = ||M - M^H||_F: skew <= thr, and finite.
 
-    ``thr`` defaults to threshold(||M||_F).  NaN fails the test, and so does
-    an inf on the diagonal, where M - M^H holds NaN.
+    NaN fails it, and so does inf, which an infinite thr would pass: an
+    infinite off-diagonal entry facing a finite one makes both ||M - M^H||_F
+    and ||M||_F infinite (two facing infs, or one on the diagonal, leave NaN).
     """
-    return frobenius(M - M.conj().T) <= (t.threshold(frobenius(M)) if thr is None else thr)
+    return skew <= thr and skew < np.inf
+
+
+def _hermitian(M, t: Tolerance, thr=None) -> bool:
+    """The Hermitian test of a square M; ``thr`` defaults to threshold(||M||_F)."""
+    return _skew_within(frobenius(M - M.conj().T), t.threshold(frobenius(M)) if thr is None else thr)
 
 
 def _require_hermitian(M, t: Tolerance, message: str, error=NotHermitian, thr=None) -> None:
     """Raise error(message) unless the square M passes the Hermitian test."""
     if not _hermitian(M, t, thr):
         raise error(message)
+
+
+def _checked(M, t: Tolerance, message: str, norms=None) -> tuple[Array, float]:
+    """(herm_part(M), ||M||_F) of a square M that passes the Hermitian test.
+
+    Else NotHermitian(message).  ``norms``, if given, are M's
+    (||M||_F, ||M - M^H||_F), computed before.
+    """
+    norm, skew = (frobenius(M), frobenius(M - M.conj().T)) if norms is None else norms
+    if not _skew_within(skew, t.threshold(norm)):
+        raise NotHermitian(message)
+    return herm_part(M), norm
 
 
 def is_hermitian(A, tol=None) -> bool:
@@ -332,11 +357,14 @@ def loewner_leq(A, B, tol=None) -> bool:
     MB = _square(B)
     if MA.shape != MB.shape:
         raise DimensionMismatch(f"cannot compare shapes {MA.shape} and {MB.shape}")
-    for M in (MA, MB):
-        _require_hermitian(M, t, "Loewner comparison requires Hermitian matrices")
+    message = "Loewner comparison requires Hermitian matrices"
+    return _loewner_leq(_checked(MA, t, message), _checked(MB, t, message), t)
+
+
+def _loewner_leq(a, b, t: Tolerance) -> bool:
+    """A <= B, given ``_checked``'s (Hermitian part, norm) pairs of A and B."""
     # a difference of two exactly Hermitian matrices is exactly Hermitian
-    D = herm_part(MB) - herm_part(MA)
-    return _psd_floor(_lapack("eigvalsh", D), t, max(frobenius(MA), frobenius(MB)))
+    return _psd_floor(_lapack("eigvalsh", b[0] - a[0]), t, max(a[1], b[1]))
 
 
 def range_included(B, A, tol=None) -> bool:

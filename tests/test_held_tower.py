@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import hamburger_measure_sequence, stieltjes_measure_sequence
 
 import momentschur as M
+from momentschur import hamburger
 
 
 def public_calls(s, alpha):
@@ -245,3 +246,59 @@ def test_held_answers_equal_fresh_answers_in_any_call_order(data):
         held = outcome(calls[name], s, tol)
         assert fingerprint(held) == fingerprint(outcome(calls[name], fresh(s), tol)), name
         scribble(held)
+
+
+def _skewed_last(c):
+    """s_0, s_1, s_2 = 10 I, 10 I, 10 I + an anti-Hermitian part of norm c * 1e-9.
+
+    ||H_1||_F = 20 ||I||_F is twice the block scale, so for 1 < c < 2 the
+    part passes H_1's Hermitian test but not the block-scale test of
+    kappa_2 = s_2 - Theta_1, nor s_2's own test.
+    """
+    K = np.array([[0, 1], [-1, 0]], dtype=complex) / (2 * np.sqrt(2))
+    return M.MomentSequence([10 * np.eye(2), 10 * np.eye(2), 10 * np.eye(2) + c * 1e-9 * K])
+
+
+def test_failed_checks_of_interval_ends_are_not_kept():
+    s = _skewed_last(1.5)
+    assert M.is_hnnd(s)
+    T = 10 * np.eye(2)
+    for bound, message in (("given_s2n", "Loewner comparison requires Hermitian matrices"),
+                           ("r_upper", "not Hermitian within the working-scale tolerance")):
+        expected = fingerprint(outcome(lambda x, tol: M.in_extension_interval(x, T, bound), fresh(s)))
+        for _ in range(2):
+            with pytest.raises(M.NotHermitian, match=message):
+                M.in_extension_interval(s, T, bound)
+            held = outcome(lambda x, tol: M.in_extension_interval(x, T, bound), s)
+            assert fingerprint(held) == expected
+    # below the H_1 threshold the ends pass and the answers are kept as usual
+    s = _skewed_last(0.5)
+    for bound in ("given_s2n", "r_upper"):
+        assert M.in_extension_interval(s, T, bound) and M.in_extension_interval(s, T, bound)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [None, -0.5])
+def test_class_tests_against_near_and_non_finite_prefixes(alpha):
+    """A prefix that differs from s's by noise below the threshold passes
+    as equal, noise above it or a NaN does not, as on a fresh sequence."""
+    s = measure(23, 2, 5, alpha)
+    calls = public_calls(s, alpha)
+    canonical = outcome(calls["canonical_rep"], s)
+    threshold = 1e-10 * max(1.0, np.linalg.norm(s[1]))
+    rows = []
+    for bump in (0.5 * threshold, 2 * threshold, np.nan):
+        blocks = list(canonical)
+        blocks[1] = blocks[1] + bump * np.eye(2) / np.sqrt(2)
+        rows.append((bump, M.MomentSequence(blocks)))
+    for bump, r in rows:
+        if alpha is None:
+            same = lambda x, tol: M.same_class(x, r, tol)
+            conditions = lambda x: hamburger.Tower(x).conditions(r)
+        else:
+            same = lambda x, tol: M.same_class_stieltjes(x, r, alpha, tol)
+            conditions = lambda x: hamburger.Tower(x, None, alpha).conditions(r)
+        for _ in range(2):
+            assert fingerprint(outcome(same, s)) == fingerprint(outcome(same, fresh(s))), bump
+        assert conditions(s)[0] == (bump < threshold)  # False for NaN
+        assert outcome(same, s) == (bump < threshold)

@@ -9,9 +9,17 @@ import pytest
 from conftest import random_psd, random_subspace, stieltjes_measure_sequence
 
 import momentschur as M
-from momentschur.linalg import loewner_leq, psd_verdict
+from momentschur.linalg import is_hermitian, loewner_leq, psd_verdict
 
-NON_FINITE = ([1.0, 0.0, np.inf], [1.0, np.nan, 1.0], [1.0, 0.0, 1.0, np.inf])
+NON_FINITE = (
+    [1.0, 0.0, np.inf],
+    [1.0, np.nan, 1.0],
+    [1.0, 0.0, 1.0, np.inf],
+    # a NaN among the blocks the odd level's minimal completion reads
+    [np.nan, 0.0, 1.0, 0.0, 1.0],
+    [1.0, np.nan, 1.0, 0.0, 1.0],
+    [1.0, 0.0, np.nan, 0.0, 1.0],
+)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -26,14 +34,37 @@ def test_non_finite_sequences_are_not_extendable(s):
         assert not M.is_hnnd(s)
 
 
+def _infinite_off_diagonal(value):
+    A = np.eye(3, dtype=complex)
+    A[0, 2] = value
+    return A
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, -np.inf, complex(0, np.inf)])
+def test_an_infinite_off_diagonal_entry_fails_the_hermitian_test(value):
+    # ||A - A^H||_F and ||A||_F are both inf there; inf <= inf must not pass
+    A = _infinite_off_diagonal(value)
+    assert not is_hermitian(A)
+    assert not psd_verdict(A)
+    with pytest.raises(M.NotPSD, match="not Hermitian"):
+        M.schur_complement(A, M.Subspace.zero(3))
+    s = [np.eye(3), np.zeros((3, 3)), 2 * np.eye(3)]
+    with pytest.raises(M.NotHermitian, match="candidate last block must be Hermitian"):
+        M.in_extension_interval(s, A)
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda: M.pinv([[np.nan, 0.0]]),
         lambda: M.numerical_rank([[np.nan]]),
         lambda: M.subspace_from_columns([[np.nan]]),
+        # LAPACK's SVD, asked for vectors, does not return on these
+        lambda: M.pinv(np.diag([np.inf, 1.0, 1.0])),
+        lambda: M.subspace_from_columns(np.diag([1.0, 1.0, -np.inf])),
     ],
-    ids=["pinv", "numerical_rank", "subspace_from_columns"],
+    ids=["pinv", "numerical_rank", "subspace_from_columns", "pinv_inf", "subspace_inf"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_lapack_failure_raises_no_convergence(call):

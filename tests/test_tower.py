@@ -12,7 +12,7 @@ import pytest
 from conftest import hamburger_measure_sequence, stieltjes_measure_sequence
 
 import momentschur as M
-from momentschur import hamburger
+from momentschur import hamburger, linalg
 
 ALPHA = 0.5
 
@@ -158,6 +158,69 @@ def test_equal_tolerances_share_one_tower(theta_calls):
     assert sum(theta_calls.values()) == evaluated
     M.is_knnde(s, ALPHA, 1e-8)
     assert sum(theta_calls.values()) == 2 * evaluated
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Count eigh, eigvalsh and svd calls, and runs of the Hermitian test."""
+    counts = Counter()
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    # every Hermitian test ends in linalg._skew_within; a kernel without it
+    # counts none, and fails the counts below
+    test = getattr(linalg, "_skew_within", None)
+    if test is not None:
+        monkeypatch.setattr(linalg, "_skew_within", counting("hermitian", test))
+    return counts
+
+
+@pytest.mark.parametrize("alpha", [None, ALPHA])
+def test_an_interval_question_pays_for_its_candidate_alone(work, alpha):
+    """On a classified sequence whose interval ends were checked, a question
+    checks its candidate once and makes one or two Loewner comparisons."""
+    s = _measure(12, alpha)
+    extra = () if alpha is None else (alpha,)
+    if alpha is None:
+        lower, given, interval = M.classify_hamburger(s).theta, "given_s2n", M.in_extension_interval
+    else:
+        lower, given = M.classify_stieltjes(s, alpha).u[-1], "given_sm"
+        interval = M.in_extension_interval_stieltjes
+    last, eye = s[s.kappa], np.eye(s.q)
+    for bound in (given, "r_upper"):
+        interval(s, *extra, last, bound)
+    for T in (last, 0.5 * (lower + last), last + eye, lower - eye):
+        for bound in (given, "r_upper"):
+            work.clear()
+            interval(s, *extra, T, bound)
+            assert work["hermitian"] == 1 and 1 <= work["eigvalsh"] <= 2
+            assert set(work) <= {"hermitian", "eigvalsh"}, work
+
+
+@pytest.mark.parametrize("alpha", [None, ALPHA])
+def test_a_class_test_reuses_the_clip_of_the_previous_slack(work, alpha):
+    """Against an r with s's own prefix and ||r_m||_F within the block
+    scale, a class test clips r_m - R_m alone: kappa_{m-step} was clipped at
+    that scale for R_m."""
+    s = _measure(14, alpha)
+    extra = () if alpha is None else (alpha,)
+    canonical_rep, same = (
+        (M.canonical_rep, M.same_class) if alpha is None
+        else (M.canonical_rep_stieltjes, M.same_class_stieltjes)
+    )
+    canonical = canonical_rep(s, *extra)
+    for r in (s, canonical):
+        assert np.linalg.norm(r[r.kappa]) <= max(np.linalg.norm(b) for b in s)
+        work.clear()
+        assert same(s, r, *extra)
+        assert work["eigh"] == 1
 
 
 @pytest.mark.parametrize("alpha", [None, ALPHA])
