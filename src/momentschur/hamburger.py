@@ -385,7 +385,8 @@ class Tower:
             # no nonnegative definite sequence holds one
             if not np.isfinite(self.s.stack[: m + 1]).all():
                 return False
-            return Tower(self.s.prefix(m + 1).appended(self.u(m)), self.t).nnd(m + 1)
+            completed = self.s.prefix(m + 1).appended(self.u(m))
+            return psd_verdict(block_hankel(completed, (m + 1) // 2), self.t)
         if m == 0:
             return self.nnd(0)
         if not self.nnde(m - 1):
@@ -445,7 +446,8 @@ class Tower:
         """
         if name not in self._ends:
             norms = self.s.norms[self.s.kappa] if name == self.given else None
-            H, norm = _checked(end, self.t, "Loewner comparison requires Hermitian matrices", norms)
+            message = "Loewner comparison requires Hermitian matrices"
+            H, norm = _checked(end, self.t, message, norms=norms)
             self._ends[name] = _frozen(H), norm
         return self._ends[name]
 
@@ -532,8 +534,10 @@ def r_upper(s, n: int, tol=None) -> Array:
     t = as_tolerance(tol)
     if 2 * n > s.kappa:
         raise IndexOutOfRange(f"r_upper({n}) needs blocks up to {2 * n}")
-    # taking the prefix also rejects a negative n
-    return Tower(s.prefix(2 * n + 1), t).r(2 * n)
+    if n < 0:
+        raise IndexOutOfRange(f"prefix length {2 * n + 1} outside 1..{len(s)}")
+    # R_2n reads s_0..s_2n alone, so the tower of s answers for its prefix
+    return Tower.of(s, t).r(2 * n)
 
 
 def canonical_rep(s, tol=None) -> MomentSequence:

@@ -100,26 +100,23 @@ def _skew_within(skew: float, thr: float) -> bool:
     return skew <= thr and skew < np.inf
 
 
-def _hermitian(M, t: Tolerance, thr=None) -> bool:
-    """The Hermitian test of a square M; ``thr`` defaults to threshold(||M||_F)."""
-    return _skew_within(frobenius(M - M.conj().T), t.threshold(frobenius(M)) if thr is None else thr)
+def _hermitian(M, t: Tolerance) -> bool:
+    """The Hermitian test of a square M, judged at threshold(||M||_F)."""
+    return _skew_within(frobenius(M - M.conj().T), t.threshold(frobenius(M)))
 
 
-def _require_hermitian(M, t: Tolerance, message: str, error=NotHermitian, thr=None) -> None:
-    """Raise error(message) unless the square M passes the Hermitian test."""
-    if not _hermitian(M, t, thr):
-        raise error(message)
-
-
-def _checked(M, t: Tolerance, message: str, norms=None) -> tuple[Array, float]:
+def _checked(
+    M, t: Tolerance, message: str, error=NotHermitian, scale=0.0, norms=None
+) -> tuple[Array, float]:
     """(herm_part(M), ||M||_F) of a square M that passes the Hermitian test.
 
-    Else NotHermitian(message).  ``norms``, if given, are M's
-    (||M||_F, ||M - M^H||_F), computed before.
+    Else error(message).  The test is judged at threshold(max(scale, ||M||_F)):
+    ``scale`` is a working scale that M's rounding noise may reach.
+    ``norms``, if given, are M's (||M||_F, ||M - M^H||_F), computed before.
     """
     norm, skew = (frobenius(M), frobenius(M - M.conj().T)) if norms is None else norms
-    if not _skew_within(skew, t.threshold(norm)):
-        raise NotHermitian(message)
+    if not _skew_within(skew, t.threshold(max(scale, norm))):
+        raise error(message)
     return herm_part(M), norm
 
 
@@ -137,9 +134,8 @@ def hermitian_eig(A, tol=None) -> tuple[Array, Array]:
     before factorization to strip representation noise.
     """
     t = as_tolerance(tol)
-    M = _square(A)
-    _require_hermitian(M, t, "matrix is not Hermitian within tolerance")
-    return _lapack("eigh", herm_part(M))
+    H = _checked(_square(A), t, "matrix is not Hermitian within tolerance")[0]
+    return _lapack("eigh", H)
 
 
 def _psd_floor(w, t: Tolerance, scale: float = 0.0) -> bool:
@@ -187,10 +183,10 @@ def psd_clip(A, scale, tol=None) -> Array:
     it raises NotPSD.
     """
     t = as_tolerance(tol)
-    M = _square(A)
-    thr = t.threshold(max(float(scale), frobenius(M)))
-    _require_hermitian(M, t, "matrix is not Hermitian within the working-scale tolerance", thr=thr)
-    return _flatten_band(*_lapack("eigh", herm_part(M)), thr)
+    message = "matrix is not Hermitian within the working-scale tolerance"
+    M, scale = _square(A), float(scale)
+    H, norm = _checked(M, t, message, scale=scale)
+    return _flatten_band(*_lapack("eigh", H), t.threshold(max(scale, norm)))
 
 
 def pinv(A, tol=None) -> Array:
@@ -284,10 +280,6 @@ class Subspace:
     @classmethod
     def zero(cls, q: int) -> "Subspace":
         return cls(np.zeros((q, 0), dtype=complex))
-
-    @classmethod
-    def full(cls, q: int) -> "Subspace":
-        return cls(np.eye(q, dtype=complex))
 
     @property
     def ambient_dim(self) -> int:

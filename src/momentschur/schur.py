@@ -20,18 +20,18 @@ from .errors import DimensionMismatch, NoConvergence, NotPSD, SplitInvalid
 from .linalg import (
     Array,
     Subspace,
+    _checked,
     _inverse,
     _lapack,
+    _loewner_leq,
     _pinv_rule,
     _psd_floor,
     _psd_root,
-    _require_hermitian,
     as_matrix,
     as_tolerance,
     fiber_projector,
     frobenius,
     herm_part,
-    loewner_leq,
     pinv,
     psd_verdict,
     range_included,
@@ -62,8 +62,7 @@ def _validated_psd(A, V, t, vectors=False) -> tuple[Array, Array, Array | None]:
         raise DimensionMismatch(
             f"A is {M.shape[0]}x{M.shape[0]} but V lives in C^{V.ambient_dim}"
         )
-    _require_hermitian(M, t, "matrix is not Hermitian, hence not PSD", NotPSD)
-    H = herm_part(M)
+    H = _checked(M, t, "matrix is not Hermitian, hence not PSD", NotPSD)[0]
     if vectors and V.dim < H.shape[0]:
         w, U = _lapack("eigh", H)
     else:
@@ -149,13 +148,8 @@ def in_lcr(A, V: Subspace, X, tol=None) -> bool:
         raise DimensionMismatch("A and X must be square matrices of equal size")
     if V.ambient_dim != MA.shape[0]:
         raise DimensionMismatch("V has the wrong ambient dimension")
-    for M in (MA, MX):
-        _require_hermitian(M, t, "in_lcr requires Hermitian A and X")
-    return (
-        psd_verdict(MX, t)
-        and loewner_leq(MX, MA, t)
-        and range_included(MX, V.basis, t)
-    )
+    a, x = [_checked(M, t, "in_lcr requires Hermitian A and X") for M in (MA, MX)]
+    return psd_verdict(MX, t) and _loewner_leq(x, a, t) and range_included(MX, V.basis, t)
 
 
 def decompose(A, V: Subspace, tol=None) -> tuple[Array, Array]:

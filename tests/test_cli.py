@@ -12,9 +12,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from momentschur import cli
+from conftest import hamburger_measure_sequence, stieltjes_measure_sequence
+
+from momentschur import cli, r_upper, r_upper_stieltjes
+from momentschur.jsonio import dumps, sequence_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -125,6 +129,29 @@ class TestInProcess:
             assert (code, out.getvalue(), err.getvalue()) == (
                 fresh.returncode, fresh.stdout, fresh.stderr
             ), call
+
+    @pytest.mark.parametrize("alpha", [None, 0.5])
+    def test_class_test_reports_a_difference_that_is_not_psd(self, tmp_path, alpha):
+        rng = np.random.default_rng(31)
+        if alpha is None:
+            s = hamburger_measure_sequence(rng, 2, 5, n_atoms=2)
+            R = r_upper(s, 2)
+        else:
+            s = stieltjes_measure_sequence(rng, alpha, 2, 4, n_atoms=2)
+            R = r_upper_stieltjes(s, alpha, 3)
+        paths = []
+        for name, seq in (("s", s), ("r", s.with_last(R - 0.5 * np.eye(2)))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(dumps(sequence_json(seq, alpha)))
+            paths.append(str(path))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["class-test", *paths]) == 0
+        report = json.loads(out.getvalue())
+        assert report["checks"] == {
+            "prefix_equal": True, "difference_psd": False, "difference_range_disjoint": False
+        }
+        assert report["same_class"] is False
 
 
 class TestFlags:

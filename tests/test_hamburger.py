@@ -32,6 +32,7 @@ from momentschur import (
     y_block,
     z_block,
 )
+from momentschur.hamburger import Tower
 from momentschur.linalg import frobenius
 
 
@@ -259,6 +260,15 @@ class TestRUpper:
         bad = nonextendable_hamburger(rng, 2, 2)
         assert frobenius(r_upper(bad, 2) - bad[4]) > 1e-6
 
+    def test_argument_errors_in_order(self):
+        s = hamburger_measure_sequence(np.random.default_rng(17), 2, 5, n_atoms=2)
+        with pytest.raises(ValueError, match="^eps_rel must be positive$"):
+            r_upper(s, 3, -1.0)
+        with pytest.raises(IndexOutOfRange, match=r"^r_upper\(3\) needs blocks up to 6$"):
+            r_upper(s, 3)
+        with pytest.raises(IndexOutOfRange, match=r"^prefix length -1 outside 1\.\.5$"):
+            r_upper(s, -1)
+
 
 class TestCanonicalRep:
     def test_scalar_values(self):
@@ -335,6 +345,13 @@ class TestSameClass:
     def test_too_short(self):
         with pytest.raises(TooShort):
             same_class([1], [1])
+
+    def test_last_block_below_r_upper(self):
+        # r_2n - R_n = -I/2 is not PSD, and its range is all of C^2
+        s = hamburger_measure_sequence(np.random.default_rng(31), 2, 5, n_atoms=2)
+        r = s.with_last(r_upper(s, 2) - 0.5 * np.eye(2))
+        assert Tower(s).conditions(r) == (True, False, False)
+        assert not same_class(s, r)
 
     def test_class_members_form_equivalence(self):
         rng = np.random.default_rng(103)

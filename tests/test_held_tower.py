@@ -38,6 +38,7 @@ def public_calls(s, alpha):
         }
         for n in range(k // 2 + 1):
             calls[f"l_matrix_{n}"] = lambda x, tol, n=n: M.l_matrix(x, n, tol)
+            calls[f"r_upper_{n}"] = lambda x, tol, n=n: M.r_upper(x, n, tol)
         return calls
     calls = {
         "classify": lambda x, tol: M.classify_stieltjes(x, alpha, tol),
@@ -156,6 +157,21 @@ def test_alpha_of_another_type_keys_its_own_tower(alpha):
         assert fingerprint(outcome(call, s)) == fingerprint(outcome(call, fresh(s))), name
 
 
+@pytest.mark.parametrize("alpha", [None, -0.5])
+def test_tolerance_with_a_numpy_eps_gets_a_tower_of_its_own(alpha):
+    """A Tolerance whose eps_rel is not a Python float is no key: each call
+    gets a fresh tower, and the tower the sequence holds stays."""
+    s = measure(29, 2, 5, alpha)
+    tol = M.Tolerance(np.float64(1e-10))
+    calls = public_calls(s, alpha)
+    outcome(calls["classify"], s)
+    held = s._held
+    assert held is not None
+    for name, call in calls.items():
+        assert fingerprint(outcome(call, s, tol)) == fingerprint(outcome(call, fresh(s), tol)), name
+        assert s._held is held, name
+
+
 def _invalid_calls(s, even):
     """(call, what it gives: an error kind, or None for an answer), in the
     order of the checks a fresh sequence makes."""
@@ -169,6 +185,9 @@ def _invalid_calls(s, even):
         (lambda x: M.in_extension_interval(x, np.eye(s.q + 1), "r_upper"), M.DimensionMismatch),
         (lambda x: M.l_matrix(x, 9, -1.0), M.IndexOutOfRange),
         (lambda x: M.l_matrix(x, -1, -1.0), M.IndexOutOfRange),  # index before tolerance
+        (lambda x: M.r_upper(x, 9, -1.0), ValueError),  # tolerance first
+        (lambda x: M.r_upper(x, 9), M.IndexOutOfRange),
+        (lambda x: M.r_upper(x, -1), M.IndexOutOfRange),
         (lambda x: M.kappa(x, 0.5, 99, -1.0), M.IndexOutOfRange),
         (lambda x: M.kappa(x, 0.5, 0, -1.0), ValueError),
         (lambda x: M.u_lower(x, 0.5, 0, -1.0), None),  # u_0 = alpha s_0 needs no tolerance

@@ -61,6 +61,13 @@ class TestParseMatrix:
             parse_matrix([])
         M = parse_matrix([], rows_expected=3, allow_zero_cols=True)
         assert M.shape == (3, 0)
+        with pytest.raises(ParseError, match="^matrix has no columns$"):
+            parse_matrix([[], []])
+        assert parse_matrix([[], []], allow_zero_cols=True).shape == (2, 0)
+
+    def test_rows_must_be_lists(self):
+        with pytest.raises(ParseError, match="^each matrix row must be a list$"):
+            parse_matrix([[1], 2])
 
     def test_row_count_enforced(self):
         with pytest.raises(ParseError):
@@ -75,6 +82,15 @@ class TestSequenceFile:
     def test_alpha_carried(self):
         s, alpha = parse_sequence_file({"q": 1, "blocks": [[[1]], [[1]]], "alpha": 2})
         assert alpha == 2.0
+
+    def test_must_be_an_object(self):
+        with pytest.raises(ParseError, match="^a sequence file must be a JSON object$"):
+            parse_sequence_file([[[1]]])
+
+    @pytest.mark.parametrize("blocks", [[], None, "x", {"0": [[1]]}])
+    def test_blocks_must_be_a_nonempty_list(self, blocks):
+        with pytest.raises(ParseError, match="^field 'blocks' must be a nonempty list of matrices$"):
+            parse_sequence_file({"q": 1, "blocks": blocks})
 
     def test_bad_q(self):
         with pytest.raises(ParseError):
@@ -99,6 +115,10 @@ class TestSchurFile:
     def test_empty_v_is_zero_subspace(self):
         _, V = parse_schur_file({"A": [[1]], "V": []})
         assert V.shape == (1, 0)
+
+    def test_must_be_an_object(self):
+        with pytest.raises(ParseError, match="^the schur input must be a JSON object$"):
+            parse_schur_file([[1]])
 
     def test_missing_fields(self):
         with pytest.raises(ParseError):

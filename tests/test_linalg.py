@@ -65,6 +65,12 @@ class TestAsMatrix:
     def test_vector_becomes_column(self):
         assert as_matrix([1.0, 2.0, 3.0]).shape == (3, 1)
 
+    @pytest.mark.parametrize("f", [hermitian_eig, psd_sqrt, lambda A: psd_clip(A, 1.0),
+                                   lambda A: loewner_leq(A, A)])
+    def test_square_required(self, f):
+        with pytest.raises(DimensionMismatch, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            f(np.ones((2, 3)))
+
     def test_higher_rank_rejected(self):
         with pytest.raises(DimensionMismatch):
             as_matrix(np.zeros((2, 2, 2)))
@@ -235,7 +241,7 @@ class TestSubspace:
         z = Subspace.zero(3)
         assert (z.ambient_dim, z.dim) == (3, 0)
         np.testing.assert_allclose(z.projector(), np.zeros((3, 3)))
-        f = Subspace.full(3)
+        f = Subspace(np.eye(3, dtype=complex))
         assert f.dim == 3
         np.testing.assert_allclose(f.projector(), np.eye(3))
 
@@ -254,6 +260,11 @@ class TestSubspace:
         with pytest.raises(ValueError):
             Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("basis", [np.ones(3), np.ones((2, 2, 1))])
+    def test_rejects_a_basis_that_is_not_a_matrix(self, basis):
+        with pytest.raises(DimensionMismatch, match="^a subspace basis must be a 2-d array$"):
+            Subspace(basis)
+
     def test_rejects_too_many_columns(self):
         with pytest.raises(DimensionMismatch):
             Subspace(np.ones((2, 3)))  # 3 vectors cannot be independent in C^2
@@ -267,7 +278,7 @@ class TestSubspace:
         np.testing.assert_allclose(W.basis.conj().T @ V.basis, np.zeros((3, 2)), atol=1e-10)
 
     def test_basis_read_only(self):
-        V = Subspace.full(2)
+        V = Subspace(np.eye(2, dtype=complex))
         with pytest.raises(ValueError):
             V.basis[0, 0] = 5.0
 
@@ -276,7 +287,7 @@ class TestFiberProjector:
     def test_full_space_gives_identity(self):
         rng = np.random.default_rng(41)
         M = random_complex(rng, 3, 4)
-        np.testing.assert_allclose(fiber_projector(M, Subspace.full(3)), np.eye(4), atol=1e-10)
+        np.testing.assert_allclose(fiber_projector(M, Subspace(np.eye(3, dtype=complex))), np.eye(4), atol=1e-10)
 
     def test_zero_space_gives_null_projector(self):
         # null of diag(1,0) is the second axis
@@ -315,7 +326,7 @@ class TestFiberProjector:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            fiber_projector(np.eye(3), Subspace.full(2))
+            fiber_projector(np.eye(3), Subspace(np.eye(2, dtype=complex)))
 
 
 class TestPsdPredicates:

@@ -38,7 +38,7 @@ class TestSchurComplement:
     def test_full_space_returns_a(self):
         rng = np.random.default_rng(3)
         A = random_psd(rng, 3, 2)
-        res = schur_complement(A, Subspace.full(3))
+        res = schur_complement(A, Subspace(np.eye(3, dtype=complex)))
         np.testing.assert_allclose(res.S, A, atol=1e-12)
         np.testing.assert_allclose(res.P_fiber, np.eye(3), atol=1e-12)
 
@@ -74,17 +74,17 @@ class TestSchurComplement:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotPSD):
-            schur_complement(np.array([[1.0, 1.0], [0.0, 1.0]]), Subspace.full(2))
+            schur_complement(np.array([[1.0, 1.0], [0.0, 1.0]]), Subspace(np.eye(2, dtype=complex)))
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD):
-            schur_complement(np.diag([1.0, -1.0]), Subspace.full(2))
+            schur_complement(np.diag([1.0, -1.0]), Subspace(np.eye(2, dtype=complex)))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionMismatch):
-            schur_complement(np.ones((2, 3)), Subspace.full(2))
+            schur_complement(np.ones((2, 3)), Subspace(np.eye(2, dtype=complex)))
         with pytest.raises(DimensionMismatch):
-            schur_complement(np.eye(3), Subspace.full(2))
+            schur_complement(np.eye(3), Subspace(np.eye(2, dtype=complex)))
 
 
 class TestCrossPath:
@@ -96,7 +96,7 @@ class TestCrossPath:
     def test_edge_dimensions(self):
         rng = np.random.default_rng(11)
         A = random_psd(rng, 3, 3)
-        np.testing.assert_allclose(schur_complement_via_basis(A, Subspace.full(3)), A)
+        np.testing.assert_allclose(schur_complement_via_basis(A, Subspace(np.eye(3, dtype=complex))), A)
         np.testing.assert_allclose(
             schur_complement_via_basis(A, Subspace.zero(3)), np.zeros((3, 3))
         )
@@ -154,7 +154,7 @@ class TestVariational:
         A = random_psd(rng, 3, 3)
         x = random_complex(rng, 3, 1).reshape(-1)
         expected = float(np.real(x.conj() @ A @ x))
-        assert variational_value(A, Subspace.full(3), x) == pytest.approx(expected)
+        assert variational_value(A, Subspace(np.eye(3, dtype=complex)), x) == pytest.approx(expected)
 
     def test_identity_matrix(self):
         rng = np.random.default_rng(31)
@@ -194,7 +194,7 @@ class TestVariational:
 
     def test_wrong_vector_length(self):
         with pytest.raises(DimensionMismatch):
-            variational_value(np.eye(2), Subspace.full(2), np.ones(3))
+            variational_value(np.eye(2), Subspace(np.eye(2, dtype=complex)), np.ones(3))
 
 
 class TestInLcr:
@@ -216,6 +216,13 @@ class TestInLcr:
     def test_requires_hermitian(self):
         with pytest.raises(NotHermitian):
             in_lcr(np.eye(2), E1, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_shape_checks(self):
+        for A, X in ((np.eye(2), np.eye(3)), (np.ones((2, 3)), np.ones((2, 3)))):
+            with pytest.raises(DimensionMismatch, match="^A and X must be square matrices of equal size$"):
+                in_lcr(A, E1, X)
+        with pytest.raises(DimensionMismatch, match="^V has the wrong ambient dimension$"):
+            in_lcr(np.eye(3), E1, np.eye(3))
 
 
 class TestExtremality:
@@ -244,7 +251,7 @@ class TestDecompose:
     def test_edge_subspaces(self):
         rng = np.random.default_rng(59)
         A = random_psd(rng, 3, 2)
-        X, Y = decompose(A, Subspace.full(3))
+        X, Y = decompose(A, Subspace(np.eye(3, dtype=complex)))
         np.testing.assert_allclose(X, A, atol=1e-12)
         np.testing.assert_allclose(Y, np.zeros((3, 3)), atol=1e-12)
         X, Y = decompose(A, Subspace.zero(3))
@@ -291,3 +298,5 @@ class TestUniqueSplit:
     def test_shape_checks(self):
         with pytest.raises(DimensionMismatch):
             is_unique_split(np.eye(2), E1, np.eye(3), np.eye(2))
+        with pytest.raises(DimensionMismatch, match="^V has the wrong ambient dimension$"):
+            is_unique_split(np.eye(3), E1, np.eye(3), np.zeros((3, 3)))

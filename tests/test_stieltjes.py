@@ -28,6 +28,7 @@ from momentschur import (
     same_class_stieltjes,
     u_lower,
 )
+from momentschur.hamburger import Tower
 from momentschur.linalg import frobenius
 
 ALPHAS = (-1.0, 0.0, 2.0)
@@ -219,6 +220,13 @@ class TestSameClassStieltjes:
             same_class_stieltjes([1, 1], [1, 1, 1], 0.0)
         with pytest.raises(TooShort):
             same_class_stieltjes([1], [1], 0.0)
+
+    def test_last_block_below_r_upper(self):
+        # r_m - R_m = -I/2 is not PSD, and its range is all of C^2
+        s = stieltjes_measure_sequence(np.random.default_rng(31), 0.5, 2, 4, n_atoms=2)
+        r = s.with_last(r_upper_stieltjes(s, 0.5, 3) - 0.5 * np.eye(2))
+        assert Tower(s, None, 0.5).conditions(r) == (True, False, False)
+        assert not same_class_stieltjes(s, r, 0.5)
 
     def test_members_and_canonical_route(self):
         rng = np.random.default_rng(157)

@@ -48,6 +48,32 @@ def test_classify_stieltjes_evaluates_each_theta_once(theta_calls):
     assert sorted(theta_calls.values()) == [1] * 7
 
 
+def test_r_upper_reads_the_held_tower(theta_calls):
+    """R_2n reads s_0..s_2n alone, so r_upper at every level of a classified
+    sequence reuses the tower it holds."""
+    s = hamburger_measure_sequence(np.random.default_rng(6), 2, 7, n_atoms=3)
+    M.classify_hamburger(s)
+    for n in range(3, -1, -1):
+        M.r_upper(s, n)
+    # Theta_2 and Theta_3 for classify, then Theta_1 for R_4 and Theta_0 for R_2
+    assert sorted(theta_calls.values()) == [1] * 4
+
+
+def test_classify_hamburger_builds_one_tower(monkeypatch):
+    """The minimal completion at the odd level of the nnde chain is judged
+    without a tower of its own."""
+    built = []
+    real = hamburger.Tower.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(hamburger.Tower, "__init__", counted)
+    M.classify_hamburger(hamburger_measure_sequence(np.random.default_rng(6), 2, 7, n_atoms=3))
+    assert len(built) == 1
+
+
 HAMBURGER_CALLS = {
     "is_hnnde": lambda s: M.is_hnnde(s),
     "canonical_rep": lambda s: M.canonical_rep(s),
