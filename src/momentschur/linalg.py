@@ -271,7 +271,8 @@ class Subspace:
             raise DimensionMismatch(f"cannot have {d} independent vectors in C^{q}")
         if d > 0:
             gram = B.conj().T @ B
-            if frobenius(gram - np.eye(d)) > 1e-8 * max(1.0, frobenius(gram)):
+            # a NaN or an inf leaves NaN in the Gram matrix, and fails too
+            if not frobenius(gram - np.eye(d)) <= 1e-8 * max(1.0, frobenius(gram)):
                 raise ValueError("basis columns are not orthonormal")
         B = B.copy()
         B.flags.writeable = False
@@ -292,10 +293,9 @@ class Subspace:
     def projector(self) -> Array:
         return self.basis @ self.basis.conj().T
 
-    def complement(self, tol=None) -> "Subspace":
-        """The orthogonal complement, via a rank-revealing factorization of I - P."""
-        q = self.ambient_dim
-        return Subspace(orthonormal_columns(np.eye(q) - self.projector(), tol))
+    def complement(self) -> "Subspace":
+        """The orthogonal complement: the last q - d columns of a complete QR of the basis."""
+        return Subspace(_lapack("qr", self.basis, mode="complete")[0][:, self.dim:])
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Subspace(ambient_dim={self.ambient_dim}, dim={self.dim})"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotPSD, SplitInvalid
+from .errors import DimensionMismatch, NotPSD, SplitInvalid
 from .linalg import (
     Array,
     Subspace,
@@ -33,7 +33,6 @@ from .linalg import (
     frobenius,
     herm_part,
     pinv,
-    psd_verdict,
     range_included,
     ranges_intersect_trivially,
 )
@@ -95,8 +94,9 @@ def schur_complement(A, V: Subspace, tol=None) -> SchurResult:
 def schur_complement_via_basis(A, V: Subspace, tol=None) -> Array:
     """S(A, V) through a unitary completion of V's basis (block route).
 
-    With U = [basis | complement basis] unitary and B = U^H A U partitioned so
-    that B11 is d x d, the result is U diag(B11 - B12 B22^+ B21, 0) U^H.
+    With Q the basis of V, U = [Q | W] unitary (W from ``Subspace.complement``)
+    and B = U^H A U partitioned so that B11 is d x d, the result is
+    Q (B11 - B12 B22^+ B21) Q^H.
     """
     t = as_tolerance(tol)
     M = _validated_psd(A, V, t)[0]
@@ -106,15 +106,11 @@ def schur_complement_via_basis(A, V: Subspace, tol=None) -> Array:
         return np.zeros((q, q), dtype=complex)
     if d == q:
         return M
-    W = V.complement(t).basis
-    if W.shape[1] != q - d:
-        raise NoConvergence("failed to complete the subspace basis to a unitary")
+    W = V.complement().basis
     U = np.hstack([V.basis, W])
     B = U.conj().T @ M @ U
     top = B[:d, :d] - B[:d, d:] @ pinv(B[d:, d:], t) @ B[d:, :d]
-    S_block = np.zeros((q, q), dtype=complex)
-    S_block[:d, :d] = top
-    return herm_part(U @ S_block @ U.conj().T)
+    return herm_part(V.basis @ top @ V.basis.conj().T)
 
 
 def variational_value(A, V: Subspace, x, tol=None) -> float:
@@ -130,11 +126,12 @@ def variational_value(A, V: Subspace, x, tol=None) -> float:
     if v.shape[0] != M.shape[0]:
         raise DimensionMismatch(f"x has length {v.shape[0]}, expected {M.shape[0]}")
     total = float(np.real(v.conj() @ M @ v))
-    W = V.complement(t).basis
-    if W.shape[1] == 0:
+    if V.dim == M.shape[0]:
         return max(total, 0.0)
-    b = W.conj().T @ M @ v
-    G = W.conj().T @ M @ W
+    W = V.complement().basis
+    WM = W.conj().T @ M
+    b = WM @ v
+    G = WM @ W
     correction = float(np.real(b.conj() @ pinv(G, t) @ b))
     return max(total - correction, 0.0)
 
@@ -149,7 +146,8 @@ def in_lcr(A, V: Subspace, X, tol=None) -> bool:
     if V.ambient_dim != MA.shape[0]:
         raise DimensionMismatch("V has the wrong ambient dimension")
     a, x = [_checked(M, t, "in_lcr requires Hermitian A and X") for M in (MA, MX)]
-    return psd_verdict(MX, t) and _loewner_leq(x, a, t) and range_included(MX, V.basis, t)
+    psd = _psd_floor(_lapack("eigvalsh", x[0]), t)
+    return psd and _loewner_leq(x, a, t) and range_included(MX, V.basis, t)
 
 
 def decompose(A, V: Subspace, tol=None) -> tuple[Array, Array]:

@@ -9,6 +9,7 @@ import pytest
 from conftest import random_psd, random_subspace, stieltjes_measure_sequence
 
 import momentschur as M
+from momentschur import linalg
 from momentschur.linalg import is_hermitian, loewner_leq, psd_verdict
 
 NON_FINITE = (
@@ -74,9 +75,9 @@ def test_lapack_failure_raises_no_convergence(call):
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Count np.linalg.eigh and np.linalg.eigvalsh calls by name."""
+    """Count np.linalg.eigh, eigvalsh, svd and qr calls by name."""
     counts = Counter()
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "svd", "qr"):
         real = getattr(np.linalg, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
@@ -105,6 +106,60 @@ def test_psd_verdicts_use_eigenvalues_only(factorizations):
     assert (factorizations["eigh"], factorizations["eigvalsh"]) == (0, 1)
     loewner_leq(A, B)
     assert (factorizations["eigh"], factorizations["eigvalsh"]) == (0, 2)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_complement_is_one_qr_of_the_basis(factorizations, d):
+    V = random_subspace(np.random.default_rng(3), 3, d)
+    factorizations.clear()
+    assert V.complement().dim == 3 - d
+    assert factorizations == Counter(qr=1)
+
+
+# V = 0 and V = C^3 leave via_basis no complement to take; the variational
+# value needs none when V = C^3 only
+@pytest.mark.parametrize(
+    "d, via_basis, variational",
+    [
+        (0, Counter(eigvalsh=1), Counter(eigvalsh=1, qr=1, eigh=1)),
+        (1, Counter(eigvalsh=1, qr=1, eigh=1), Counter(eigvalsh=1, qr=1, eigh=1)),
+        (2, Counter(eigvalsh=1, qr=1, eigh=1), Counter(eigvalsh=1, qr=1, eigh=1)),
+        (3, Counter(eigvalsh=1), Counter(eigvalsh=1)),
+    ],
+)
+def test_block_routes_complete_the_basis_by_one_qr(factorizations, d, via_basis, variational):
+    rng = np.random.default_rng(9)
+    A = random_psd(rng, 3, 3)
+    V = random_subspace(rng, 3, d)
+    factorizations.clear()
+    M.schur_complement_via_basis(A, V)
+    assert factorizations == via_basis
+    factorizations.clear()
+    M.variational_value(A, V, np.ones(3))
+    assert factorizations == variational
+
+
+@pytest.mark.parametrize("d", [0, 1, 64, 127, 128])
+def test_complement_of_a_large_basis_is_orthonormal_and_orthogonal(d):
+    V = random_subspace(np.random.default_rng(13), 128, d)
+    W = V.complement().basis
+    assert W.shape == (128, 128 - d)
+    np.testing.assert_allclose(W.conj().T @ W, np.eye(128 - d), atol=1e-12)
+    np.testing.assert_allclose(W.conj().T @ V.basis, np.zeros((128 - d, d)), atol=1e-12)
+
+
+def test_in_lcr_tests_each_operand_for_hermitian_once(monkeypatch):
+    calls = []
+    real = linalg._skew_within
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_skew_within", counted)
+    V = M.Subspace(np.eye(3, 2, dtype=complex))
+    assert M.in_lcr(np.diag([2.0, 1.0, 0.0]), V, np.diag([1.0, 0.5, 0.0]))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("length", [5, 6])

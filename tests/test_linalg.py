@@ -260,6 +260,15 @@ class TestSubspace:
         with pytest.raises(ValueError):
             Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_rejects_a_non_finite_basis(self, entry):
+        # the complement's QR would carry the entry into every column of W
+        basis = np.eye(3, 2, dtype=complex)
+        basis[0, 1] = entry
+        with pytest.raises(ValueError, match="^basis columns are not orthonormal$"):
+            Subspace(basis)
+
     @pytest.mark.parametrize("basis", [np.ones(3), np.ones((2, 2, 1))])
     def test_rejects_a_basis_that_is_not_a_matrix(self, basis):
         with pytest.raises(DimensionMismatch, match="^a subspace basis must be a 2-d array$"):

@@ -111,6 +111,19 @@ class TestCrossPath:
             S2 = schur_complement_via_basis(A, V)
             assert frobenius(S1 - S2) <= 1e-8 * max(1.0, frobenius(A))
 
+    def test_a_basis_the_constructor_accepts_gets_a_true_complement(self):
+        # Gram error 3.5e-10, inside Subspace's 1e-8 check: the complement
+        # has q - d columns, not q, so both routes through it stay defined
+        Q = random_subspace(np.random.default_rng(1), 6, 3).basis
+        V = Subspace(Q * (1 + 1e-10))
+        A = np.diag(np.arange(1.0, 7.0))
+        x = np.ones(6)
+        assert V.complement().dim == 3
+        S = schur_complement(A, V).S
+        np.testing.assert_allclose(schur_complement_via_basis(A, V), S, atol=1e-8)
+        assert float(np.real(x @ S @ x)) == pytest.approx(10.683883, abs=1e-6)
+        assert variational_value(A, V, x) == pytest.approx(10.683883, abs=1e-6)
+
 
 class TestOrderingAndRanges:
     def test_sandwich(self):
