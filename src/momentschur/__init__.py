@@ -3,8 +3,9 @@
 The package has three mathematical layers on top of a tolerance-aware linear
 algebra kernel:
 
-- ``linalg``: Hermitian eigendecomposition, PSD square root, Moore-Penrose
-  inverse, subspaces, projectors and the shared tolerance policy;
+- ``linalg``: the Hermitian test, PSD verdicts, the Loewner order,
+  Moore-Penrose inverse, rank and range tests, subspaces, projectors and the
+  shared tolerance policy;
 - ``schur``: the Schur complement S(A, V) of a PSD matrix relative to a
   subspace, its block-formula twin, the variational identity and the unique
   splitting A = S + (A - S);
@@ -37,13 +38,10 @@ from .linalg import (
     Subspace,
     Tolerance,
     fiber_projector,
-    hermitian_eig,
     loewner_leq,
     numerical_rank,
     pinv,
-    psd_sqrt,
     range_included,
-    range_projector,
     ranges_intersect_trivially,
     subspace_from_columns,
 )
@@ -116,7 +114,6 @@ __all__ = [
     "classify_stieltjes",
     "decompose",
     "fiber_projector",
-    "hermitian_eig",
     "in_extension_interval",
     "in_extension_interval_stieltjes",
     "in_lcr",
@@ -130,11 +127,9 @@ __all__ = [
     "loewner_leq",
     "numerical_rank",
     "pinv",
-    "psd_sqrt",
     "r_upper",
     "r_upper_stieltjes",
     "range_included",
-    "range_projector",
     "ranges_intersect_trivially",
     "same_class",
     "same_class_stieltjes",

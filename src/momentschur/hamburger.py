@@ -38,6 +38,7 @@ from .errors import (
 from .linalg import (
     Array,
     Tolerance,
+    _Spectrum,
     _checked,
     _loewner_leq,
     as_matrix,
@@ -251,11 +252,12 @@ class Tower:
     [alpha, oo): the shifted tower joins in and every index holds a slack.
     A tower keeps every quantity it computes that depends on the sequence,
     the tolerance and alpha alone: each Theta_k of both towers, the shift,
-    every Hankel verdict, clipped slack pair, extendability verdict and R_m,
-    and the Hermitian part and norm of each interval end that passed the
-    Hermitian test (a failed test is not kept).  Kept arrays are read-only;
-    the arrays a tower hands out are fresh, writable copies (the blocks of
-    the sequence itself stay read-only).
+    every Hankel verdict, extendability verdict and R_m, one ``_Spectrum``
+    record per slack (one eigendecomposition for every scale the slack is
+    clipped at), and the Hermitian part and norm of each interval end that
+    passed the Hermitian test (a failed test is not kept).  Kept arrays are
+    read-only or private to their record; the arrays a tower hands out are
+    fresh, writable copies (the blocks of the sequence itself stay read-only).
     The README's "One engine for both moment problems" sets out u, kappa and R.
     """
 
@@ -267,7 +269,7 @@ class Tower:
         self.step, self.given, self._not_nnd, self._name, self._too_short = problem
         self._thetas = {}
         self._nnds = {}
-        self._clips = {}
+        self._spectra = {}
         self._nndes = {}
         self._rs = {}
         self._ends = {}
@@ -355,17 +357,18 @@ class Tower:
             self._nnds[m] = verdict
         return self._nnds[m]
 
+    def _clip(self, j: int, scale: float) -> Array:
+        # kappa_j clipped at a working scale, from the one record of kappa_j
+        if j not in self._spectra:
+            self._spectra[j] = _Spectrum(self.kappa(j))
+        return self._spectra[j].clip(scale, self.t)
+
     def _clipped(self, m: int) -> tuple[Array, Array]:
         # kappa_m and kappa_{m-step} are differences at the block scale of
         # s_0..s_m and carry its rounding noise, not noise at their own
         # (possibly tiny) norm; clip before PSD, rank and range verdicts
-        if m not in self._clips:
-            scale = self._scale(self._sizes[m])
-            self._clips[m] = (
-                _frozen(psd_clip(self.kappa(m), scale, self.t)),
-                _frozen(psd_clip(self.kappa(m - self.step), scale, self.t)),
-            )
-        return self._clips[m]
+        scale = self._scale(self._sizes[m])
+        return self._clip(m, scale), self._clip(m - self.step, scale)
 
     def nnde(self, m: int) -> bool:
         """Is s_0..s_m a section of a longer nonnegative definite sequence?
@@ -483,10 +486,7 @@ class Tower:
             difference_psd = True
         except (NotPSD, NotHermitian):
             difference_psd = False
-        if size <= self._sizes[m]:
-            k_prev = self._clipped(m)[1]  # the clip R_m took, at this same scale
-        else:
-            k_prev = psd_clip(self.kappa(m - self.step), scale, t)
+        k_prev = self._clip(m - self.step, scale)
         return prefix_equal, difference_psd, ranges_intersect_trivially(D, k_prev, t)
 
 

@@ -40,19 +40,19 @@ def parse_complex(v) -> complex:
     raise ParseError(f"bad matrix entry {v!r}: expected a real number or [re, im]")
 
 
-def parse_matrix(obj, rows_expected=None, allow_zero_cols=False, scalar_ok=False):
+def parse_matrix(obj, rows_expected=None, scalar_ok=False):
     """Parse a list-of-rows matrix into a complex array.
 
-    ``rows_expected`` lets an empty list stand for a matrix with zero columns
-    (only meaningful together with ``allow_zero_cols``); ``scalar_ok`` accepts
-    a bare number as a 1x1 matrix.
+    ``rows_expected`` fixes the row count and allows zero columns: an empty
+    list, or rows of width 0, then stand for a matrix with zero columns.
+    ``scalar_ok`` accepts a bare number as a 1x1 matrix.
     """
     if scalar_ok and _is_real(obj):
         return np.array([[parse_complex(obj)]])
     if not isinstance(obj, list):
         raise ParseError(f"expected a matrix (list of rows), got {type(obj).__name__}")
     if not obj:
-        if allow_zero_cols and rows_expected is not None:
+        if rows_expected is not None:
             return np.zeros((rows_expected, 0), dtype=complex)
         raise ParseError("matrix has no rows")
     rows = []
@@ -65,7 +65,7 @@ def parse_matrix(obj, rows_expected=None, allow_zero_cols=False, scalar_ok=False
         elif len(row) != width:
             raise ParseError("matrix rows have unequal lengths")
         rows.append([parse_complex(v) for v in row])
-    if width == 0 and not allow_zero_cols:
+    if width == 0 and rows_expected is None:
         raise ParseError("matrix has no columns")
     if rows_expected is not None and len(rows) != rows_expected:
         raise ParseError(f"expected {rows_expected} rows, got {len(rows)}")
@@ -107,7 +107,7 @@ def parse_schur_file(obj):
     A = parse_matrix(obj["A"])
     if A.shape[0] != A.shape[1]:
         raise ParseError(f"'A' must be square, got shape {A.shape}")
-    V = parse_matrix(obj["V"], rows_expected=A.shape[0], allow_zero_cols=True)
+    V = parse_matrix(obj["V"], rows_expected=A.shape[0])
     return A, V
 
 

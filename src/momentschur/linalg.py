@@ -105,37 +105,16 @@ def _hermitian(M, t: Tolerance) -> bool:
     return _skew_within(frobenius(M - M.conj().T), t.threshold(frobenius(M)))
 
 
-def _checked(
-    M, t: Tolerance, message: str, error=NotHermitian, scale=0.0, norms=None
-) -> tuple[Array, float]:
+def _checked(M, t: Tolerance, message: str, error=NotHermitian, norms=None) -> tuple[Array, float]:
     """(herm_part(M), ||M||_F) of a square M that passes the Hermitian test.
 
-    Else error(message).  The test is judged at threshold(max(scale, ||M||_F)):
-    ``scale`` is a working scale that M's rounding noise may reach.
-    ``norms``, if given, are M's (||M||_F, ||M - M^H||_F), computed before.
+    Else error(message).  ``norms``, if given, are M's (||M||_F, ||M - M^H||_F),
+    computed before.
     """
     norm, skew = (frobenius(M), frobenius(M - M.conj().T)) if norms is None else norms
-    if not _skew_within(skew, t.threshold(max(scale, norm))):
+    if not _skew_within(skew, t.threshold(norm)):
         raise error(message)
     return herm_part(M), norm
-
-
-def is_hermitian(A, tol=None) -> bool:
-    t = as_tolerance(tol)
-    M = as_matrix(A)
-    return M.shape[0] == M.shape[1] and _hermitian(M, t)
-
-
-def hermitian_eig(A, tol=None) -> tuple[Array, Array]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, U)`` with ``w`` the real eigenvalues in ascending order and
-    ``U`` unitary, so that ``A = U diag(w) U^H``.  The input is symmetrized
-    before factorization to strip representation noise.
-    """
-    t = as_tolerance(tol)
-    H = _checked(_square(A), t, "matrix is not Hermitian within tolerance")[0]
-    return _lapack("eigh", H)
 
 
 def _psd_floor(w, t: Tolerance, scale: float = 0.0) -> bool:
@@ -155,21 +134,42 @@ def _flatten_band(w, U, thr, f=None) -> Array:
 
 
 def _psd_root(w, U, t: Tolerance) -> Array:
-    """The PSD square root of U diag(w) U^H, as ``psd_sqrt`` takes it."""
+    """The PSD square root of U diag(w) U^H, from its ascending eigenvalues w.
+
+    Eigenvalues within the band |w| <= threshold(max |w|) are flattened to
+    exact zero before taking roots, on both sides: a positive noise
+    eigenvalue eps would otherwise surface as sqrt(eps), far above noise
+    level, and give the root a larger numerical rank than the matrix.
+    Anything below the band raises NotPSD.
+    """
     return _flatten_band(w, U, t.threshold(np.abs(w).max()), np.sqrt)
 
 
-def psd_sqrt(A, tol=None) -> Array:
-    """The unique PSD square root of a PSD matrix.
+class _Spectrum:
+    """A square M, its (||M||_F, ||M - M^H||_F), and eigh(herm_part(M)) once needed.
 
-    Eigenvalues within the tolerance band around zero are flattened to exact
-    zero before taking roots -- on both sides: a positive noise eigenvalue eps
-    would otherwise surface as sqrt(eps), far above noise level, and give the
-    root a larger numerical rank than the input.  Anything below the band
-    raises NotPSD.
+    One record serves every scale M is clipped at.
     """
-    t = as_tolerance(tol)
-    return _psd_root(*hermitian_eig(A, t), t)
+
+    __slots__ = ("M", "norm", "skew", "_eigh")
+
+    def __init__(self, M: Array):
+        self.M, self.norm, self.skew = M, frobenius(M), frobenius(M - M.conj().T)
+        self._eigh = None
+
+    def clip(self, scale, t: Tolerance) -> Array:
+        """M with its eigenvalue noise at working scale ``scale`` set to 0.
+
+        The Hermitian test and the eigenvalue band are judged at
+        threshold(max(scale, ||M||_F)).  M is factorized only once it passes
+        the test, so a NaN or a non-Hermitian M raises NotHermitian.
+        """
+        thr = t.threshold(max(scale, self.norm))
+        if not _skew_within(self.skew, thr):
+            raise NotHermitian("matrix is not Hermitian within the working-scale tolerance")
+        if self._eigh is None:
+            self._eigh = _lapack("eigh", herm_part(self.M))
+        return _flatten_band(*self._eigh, thr)
 
 
 def psd_clip(A, scale, tol=None) -> Array:
@@ -183,10 +183,7 @@ def psd_clip(A, scale, tol=None) -> Array:
     it raises NotPSD.
     """
     t = as_tolerance(tol)
-    message = "matrix is not Hermitian within the working-scale tolerance"
-    M, scale = _square(A), float(scale)
-    H, norm = _checked(M, t, message, scale=scale)
-    return _flatten_band(*_lapack("eigh", H), t.threshold(max(scale, norm)))
+    return _Spectrum(_square(A)).clip(float(scale), t)
 
 
 def pinv(A, tol=None) -> Array:
@@ -241,19 +238,6 @@ def numerical_rank(M, tol=None) -> int:
     return _svd_rank(M, tol, False)[1]
 
 
-def orthonormal_columns(M, tol=None) -> Array:
-    """Orthonormal basis of ran M; the rank is revealed by the SVD."""
-    U, r = _svd_rank(M, tol, True)
-    return U[:, :r].copy()
-
-
-def range_projector(M, tol=None) -> Array:
-    """Orthogonal projector onto ran M, formed as M M^+."""
-    t = as_tolerance(tol)
-    A = as_matrix(M)
-    return herm_part(A @ pinv(A, t))
-
-
 class Subspace:
     """A linear subspace of C^q stored as a q x d orthonormal basis.
 
@@ -302,8 +286,9 @@ class Subspace:
 
 
 def subspace_from_columns(M, tol=None) -> Subspace:
-    """Subspace spanned by the columns of M (dim = numerical rank)."""
-    return Subspace(orthonormal_columns(M, tol))
+    """Subspace spanned by the columns of M (dim = numerical rank), by the SVD."""
+    U, r = _svd_rank(M, tol, True)
+    return Subspace(U[:, :r])
 
 
 def fiber_projector(M, V: Subspace, tol=None) -> Array:
@@ -366,7 +351,7 @@ def range_included(B, A, tol=None) -> bool:
     MA = as_matrix(A)
     if MA.shape[0] != MB.shape[0]:
         raise DimensionMismatch("row counts differ")
-    P = range_projector(MA, t)
+    P = herm_part(MA @ pinv(MA, t))
     return frobenius(MB - P @ MB) <= t.threshold(frobenius(MB))
 
 

@@ -34,6 +34,15 @@ def random_subspace(rng, q, d):
     return Subspace(Q[:, :d])
 
 
+def psd_root(A):
+    """The PSD square root of a Hermitian PSD A, from numpy's eigh.
+
+    Eigenvalues below 0, which only rounding leaves there, are clamped to 0.
+    """
+    w, U = np.linalg.eigh(A)
+    return (U * np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T
+
+
 def random_unitary(rng, q):
     Q, R = np.linalg.qr(random_complex(rng, q, q))
     return Q * (np.diag(R) / np.abs(np.diag(R)))

@@ -19,6 +19,7 @@ from conftest import (
     hamburger_measure_sequence,
     nonextendable_hamburger,
     nonextendable_stieltjes,
+    psd_root,
     random_complex,
     random_contraction,
     random_psd,
@@ -39,7 +40,6 @@ from momentschur import (
     is_knnde,
     is_unique_split,
     loewner_leq,
-    psd_sqrt,
     r_upper,
     r_upper_stieltjes,
     ranges_intersect_trivially,
@@ -135,7 +135,7 @@ def test_quadratic_form_of_s_is_the_constrained_minimum():
 def test_compressions_of_s_never_exceed_s():
     rng = np.random.default_rng(815)
     for A, V, res in schur_case_family():
-        root = psd_sqrt(res.S)
+        root = psd_root(res.S)
         for _ in range(5):
             K = random_contraction(rng, A.shape[0])
             X = herm_part(root @ K @ root)

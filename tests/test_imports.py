@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every function or class a module defines has a caller in the package.
 
-``__init__.py`` is left out: it imports names to re-export them.
+``__init__.py`` is left out of the import check: it imports names to
+re-export them.  A name it lists in ``__all__`` counts as called.
 """
 
 import ast
@@ -9,7 +11,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "momentschur"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +37,44 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def uncalled_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level defs and classes that no module references and __all__ omits.
+
+    ``sources`` maps module names to their text.  A reference is a name read
+    anywhere, an attribute, or an imported name.
+    """
+    referenced, defined = set(), []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                referenced.update(ast.literal_eval(node.value))
+        defined += [
+            f"{module}.{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+    return [name for name in defined if name.rsplit(".", 1)[1] not in referenced]
+
+
+def test_the_check_sees_a_definition_without_a_caller():
+    sources = {
+        "a": "def used():\n    pass\n\n\ndef exported():\n    pass\n\n\nclass Dead:\n    pass\n",
+        "b": "from .a import used\n\n__all__ = ['exported']\n\n\ndef helper():\n    return used\n",
+    }
+    assert uncalled_definitions(sources) == ["a.Dead", "b.helper"]
+
+
+def test_every_definition_has_a_caller():
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    assert uncalled_definitions(sources) == []

@@ -59,11 +59,11 @@ class TestParseMatrix:
     def test_rejects_empty_unless_allowed(self):
         with pytest.raises(ParseError):
             parse_matrix([])
-        M = parse_matrix([], rows_expected=3, allow_zero_cols=True)
+        M = parse_matrix([], rows_expected=3)
         assert M.shape == (3, 0)
         with pytest.raises(ParseError, match="^matrix has no columns$"):
             parse_matrix([[], []])
-        assert parse_matrix([[], []], allow_zero_cols=True).shape == (2, 0)
+        assert parse_matrix([[], []], rows_expected=2).shape == (2, 0)
 
     def test_rows_must_be_lists(self):
         with pytest.raises(ParseError, match="^each matrix row must be a list$"):

@@ -6,11 +6,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_psd, random_subspace, stieltjes_measure_sequence
+from conftest import measure_moments, random_psd, random_subspace, stieltjes_measure_sequence
 
 import momentschur as M
 from momentschur import linalg
-from momentschur.linalg import is_hermitian, loewner_leq, psd_verdict
+from momentschur.linalg import _hermitian, loewner_leq, psd_clip, psd_verdict
 
 NON_FINITE = (
     [1.0, 0.0, np.inf],
@@ -46,7 +46,7 @@ def _infinite_off_diagonal(value):
 def test_an_infinite_off_diagonal_entry_fails_the_hermitian_test(value):
     # ||A - A^H||_F and ||A||_F are both inf there; inf <= inf must not pass
     A = _infinite_off_diagonal(value)
-    assert not is_hermitian(A)
+    assert not _hermitian(A, linalg.Tolerance())
     assert not psd_verdict(A)
     with pytest.raises(M.NotPSD, match="not Hermitian"):
         M.schur_complement(A, M.Subspace.zero(3))
@@ -160,6 +160,47 @@ def test_in_lcr_tests_each_operand_for_hermitian_once(monkeypatch):
     V = M.Subspace(np.eye(3, 2, dtype=complex))
     assert M.in_lcr(np.diag([2.0, 1.0, 0.0]), V, np.diag([1.0, 0.5, 0.0]))
     assert len(calls) == 2
+
+
+def _four_atom_sequence():
+    rng = np.random.default_rng(3)
+    weights = [random_psd(rng, 2, 2) for _ in range(4)]
+    return measure_moments([0.7, 1.6, 2.9, 4.1], weights, 11)
+
+
+def test_one_eigh_per_slack_serves_every_scale(factorizations):
+    # kappa_j is clipped as level j's slack and again as level j + 1's
+    # previous slack, at a larger scale: one eigh serves both
+    M.classify_stieltjes(_four_atom_sequence(), 0.5)
+    assert factorizations["eigh"] == 31
+    assert sum(factorizations.values()) == 35
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5])
+def test_a_class_test_above_the_block_scale_reuses_the_slack_spectrum(factorizations, alpha):
+    # r_m = 3 R + 10 I lifts the scale of the class test above the block
+    # scale; kappa_{m-step} is clipped there from its held eigendecomposition
+    s = _four_atom_sequence()
+    if alpha is None:
+        s = s.prefix(9)
+        report = M.classify_hamburger(s)
+    else:
+        report = M.classify_stieltjes(s, alpha)
+    r = s.with_last(3 * report.R + 10 * np.eye(2))
+    factorizations.clear()
+    if alpha is None:
+        M.same_class(s, r)
+    else:
+        M.same_class_stieltjes(s, r, alpha)
+    assert factorizations == Counter(eigh=1, svd=3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("A", [[[np.nan, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]]], ids=["nan", "skew"])
+def test_a_clip_factorizes_only_a_hermitian_matrix(factorizations, A):
+    with pytest.raises(M.NotHermitian, match="^matrix is not Hermitian within the working-scale tolerance$"):
+        psd_clip(np.array(A), 1.0)
+    assert factorizations["eigh"] == 0
 
 
 @pytest.mark.parametrize("length", [5, 6])

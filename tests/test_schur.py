@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_complex, random_contraction, random_psd, random_subspace
+from conftest import psd_root, random_complex, random_contraction, random_psd, random_subspace
 
 from momentschur import (
     DimensionMismatch,
@@ -15,7 +15,6 @@ from momentschur import (
     in_lcr,
     is_unique_split,
     loewner_leq,
-    psd_sqrt,
     range_included,
     schur_complement,
     schur_complement_via_basis,
@@ -246,7 +245,7 @@ class TestExtremality:
             A = random_psd(rng, q, int(rng.integers(0, q + 1)))
             V = random_subspace(rng, q, int(rng.integers(0, q + 1)))
             S = schur_complement(A, V).S
-            root = psd_sqrt(S)
+            root = psd_root(S)
             for _ in range(3):
                 K = random_contraction(rng, q)
                 X = herm_part(root @ K @ root)
