@@ -37,6 +37,7 @@ from .errors import (
 )
 from .linalg import (
     Array,
+    Subspace,
     Tolerance,
     _Spectrum,
     _checked,
@@ -46,11 +47,8 @@ from .linalg import (
     frobenius,
     herm_part,
     pinv,
-    psd_clip,
     psd_verdict,
-    range_included,
     ranges_intersect_trivially,
-    subspace_from_columns,
 )
 from .schur import schur_complement
 
@@ -253,8 +251,8 @@ class Tower:
     A tower keeps every quantity it computes that depends on the sequence,
     the tolerance and alpha alone: each Theta_k of both towers, the shift,
     every Hankel verdict, extendability verdict and R_m, one ``_Spectrum``
-    record per slack (one eigendecomposition for every scale the slack is
-    clipped at), and the Hermitian part and norm of each interval end that
+    record per slack (one eigendecomposition serves its clip and its range
+    at every scale), and the Hermitian part and norm of each interval end that
     passed the Hermitian test (a failed test is not kept).  Kept arrays are
     read-only or private to their record; the arrays a tower hands out are
     fresh, writable copies (the blocks of the sequence itself stay read-only).
@@ -357,18 +355,19 @@ class Tower:
             self._nnds[m] = verdict
         return self._nnds[m]
 
-    def _clip(self, j: int, scale: float) -> Array:
-        # kappa_j clipped at a working scale, from the one record of kappa_j
+    def _spectrum(self, j: int) -> _Spectrum:
+        # the one record of kappa_j, which every scale it is judged at reads
         if j not in self._spectra:
             self._spectra[j] = _Spectrum(self.kappa(j))
-        return self._spectra[j].clip(scale, self.t)
+        return self._spectra[j]
 
-    def _clipped(self, m: int) -> tuple[Array, Array]:
+    def _clipped(self, m: int) -> tuple[Array, Subspace]:
         # kappa_m and kappa_{m-step} are differences at the block scale of
         # s_0..s_m and carry its rounding noise, not noise at their own
-        # (possibly tiny) norm; clip before PSD, rank and range verdicts
-        scale = self._scale(self._sizes[m])
-        return self._clip(m, scale), self._clip(m - self.step, scale)
+        # (possibly tiny) norm: kappa_m's clip and ran kappa_{m-step} are
+        # both taken at that scale
+        scale, t = self._scale(self._sizes[m]), self.t
+        return self._spectrum(m).clip(scale, t), self._spectrum(m - self.step).range(scale, t)
 
     def nnde(self, m: int) -> bool:
         """Is s_0..s_m a section of a longer nonnegative definite sequence?
@@ -395,10 +394,10 @@ class Tower:
         if not self.nnde(m - 1):
             return False
         try:
-            k_m, k_prev = self._clipped(m)
+            k_m, V = self._clipped(m)
         except (NotPSD, NotHermitian):
             return False
-        return range_included(k_m, k_prev, self.t)
+        return V.contains(k_m, self.t)
 
     def r(self, m: int) -> Array:
         """R_m, the tight upper bound for s_m (R_0 = s_0); s_0..s_m must be nnd."""
@@ -410,8 +409,7 @@ class Tower:
         if m == 0:
             return self.s[0]
         if m not in self._rs:
-            k_m, k_prev = self._clipped(m)
-            V = subspace_from_columns(k_prev, self.t)
+            k_m, V = self._clipped(m)
             self._rs[m] = _frozen(self.u(m - 1) + schur_complement(k_m, V, self.t).S)
         return self._rs[m].copy()
 
@@ -482,11 +480,11 @@ class Tower:
         scale = self._scale(max(self._sizes[m], size))
         D = r[m] - R
         try:
-            D = psd_clip(D, scale, t)
+            D = _Spectrum(D).clip(scale, t)
             difference_psd = True
         except (NotPSD, NotHermitian):
             difference_psd = False
-        k_prev = self._clip(m - self.step, scale)
+        k_prev = self._spectrum(m - self.step).clip(scale, t)
         return prefix_equal, difference_psd, ranges_intersect_trivially(D, k_prev, t)
 
 

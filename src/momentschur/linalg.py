@@ -122,15 +122,16 @@ def _psd_floor(w, t: Tolerance, scale: float = 0.0) -> bool:
     return bool(w[0] >= -t.threshold(max(np.abs(w).max(), scale)))
 
 
-def _flatten_band(w, U, thr, f=None) -> Array:
-    """Rebuild U f(w) U^H with the eigenvalues in the band |w| <= thr set to 0.
-
-    ``w`` is ascending; an eigenvalue below the band raises NotPSD.
-    """
+def _flatten_band(w, thr) -> Array:
+    """Ascending eigenvalues w with the band |w| <= thr set to 0; one below it raises NotPSD."""
     if w[0] < -thr:
         raise NotPSD(f"eigenvalue {w[0]:.6e} below the PSD tolerance -{thr:.3e}")
-    w = np.where(np.abs(w) <= thr, 0.0, w)
-    return herm_part((U * (w if f is None else f(w))) @ U.conj().T)
+    return np.where(np.abs(w) <= thr, 0.0, w)
+
+
+def _rebuilt(w, U) -> Array:
+    """The Hermitian U diag(w) U^H."""
+    return herm_part((U * w) @ U.conj().T)
 
 
 def _psd_root(w, U, t: Tolerance) -> Array:
@@ -142,13 +143,13 @@ def _psd_root(w, U, t: Tolerance) -> Array:
     level, and give the root a larger numerical rank than the matrix.
     Anything below the band raises NotPSD.
     """
-    return _flatten_band(w, U, t.threshold(np.abs(w).max()), np.sqrt)
+    return _rebuilt(np.sqrt(_flatten_band(w, t.threshold(np.abs(w).max()))), U)
 
 
 class _Spectrum:
     """A square M, its (||M||_F, ||M - M^H||_F), and eigh(herm_part(M)) once needed.
 
-    One record serves every scale M is clipped at.
+    One record serves every scale M is clipped at, and its range at each.
     """
 
     __slots__ = ("M", "norm", "skew", "_eigh")
@@ -157,33 +158,31 @@ class _Spectrum:
         self.M, self.norm, self.skew = M, frobenius(M), frobenius(M - M.conj().T)
         self._eigh = None
 
-    def clip(self, scale, t: Tolerance) -> Array:
-        """M with its eigenvalue noise at working scale ``scale`` set to 0.
+    def _band(self, scale, t: Tolerance) -> tuple[Array, Array]:
+        """(w, U): eigh of M with the eigenvalue noise at working scale ``scale`` set to 0.
 
-        The Hermitian test and the eigenvalue band are judged at
-        threshold(max(scale, ||M||_F)).  M is factorized only once it passes
-        the test, so a NaN or a non-Hermitian M raises NotHermitian.
+        ``scale`` is the working scale of the computation that produced M: a
+        difference of quantities of that size carries rounding noise
+        proportional to it, not to its own norm.  A clip and a range both
+        take this one step.  The Hermitian test and the eigenvalue band are
+        judged at threshold(max(scale, ||M||_F)).  M is factorized only once
+        it passes the test, so a NaN or a non-Hermitian M raises NotHermitian.
         """
         thr = t.threshold(max(scale, self.norm))
         if not _skew_within(self.skew, thr):
             raise NotHermitian("matrix is not Hermitian within the working-scale tolerance")
         if self._eigh is None:
             self._eigh = _lapack("eigh", herm_part(self.M))
-        return _flatten_band(*self._eigh, thr)
+        return _flatten_band(self._eigh[0], thr), self._eigh[1]
 
+    def clip(self, scale, t: Tolerance) -> Array:
+        """M with its eigenvalue noise at working scale ``scale`` set to 0."""
+        return _rebuilt(*self._band(scale, t))
 
-def psd_clip(A, scale, tol=None) -> Array:
-    """Snap eigenvalue noise of a computed-PSD matrix to zero.
-
-    ``scale`` is the working scale of the computation that produced ``A``:
-    a residual obtained as a difference of quantities of size ``scale``
-    carries rounding noise proportional to that size, not to its own norm.
-    The Hermiticity check and the eigenvalue band both use that scale;
-    eigenvalues inside the band are flattened to exact zero, anything below
-    it raises NotPSD.
-    """
-    t = as_tolerance(tol)
-    return _Spectrum(_square(A)).clip(float(scale), t)
+    def range(self, scale, t: Tolerance) -> "Subspace":
+        """ran M at working scale ``scale``: the eigenvectors outside the band."""
+        w, U = self._band(scale, t)
+        return Subspace(U[:, w != 0])
 
 
 def pinv(A, tol=None) -> Array:
@@ -241,7 +240,10 @@ def numerical_rank(M, tol=None) -> int:
 class Subspace:
     """A linear subspace of C^q stored as a q x d orthonormal basis.
 
-    d = 0 is allowed and represents the zero subspace (q x 0 basis).
+    d = 0 is allowed and represents the zero subspace (q x 0 basis).  A basis
+    whose Gram matrix is off the identity by more than 1e-8 (relative) is
+    rejected; one off by more than 1e-11 is replaced by the Q of its QR, so
+    that B B^H is a projector.  Any other basis keeps its bits.
     """
 
     __slots__ = ("basis",)
@@ -255,9 +257,14 @@ class Subspace:
             raise DimensionMismatch(f"cannot have {d} independent vectors in C^{q}")
         if d > 0:
             gram = B.conj().T @ B
+            error, size = frobenius(gram - np.eye(d)), max(1.0, frobenius(gram))
             # a NaN or an inf leaves NaN in the Gram matrix, and fails too
-            if not frobenius(gram - np.eye(d)) <= 1e-8 * max(1.0, frobenius(gram)):
+            if not error <= 1e-8 * size:
                 raise ValueError("basis columns are not orthonormal")
+            # B B^H is then no projector; the bases eigh, svd and qr make are
+            # off by 2.4e-15 or less at q <= 256, and keep their bits
+            if error > 1e-11 * size:
+                B = _lapack("qr", B)[0]
         B = B.copy()
         B.flags.writeable = False
         self.basis = B
@@ -276,6 +283,17 @@ class Subspace:
 
     def projector(self) -> Array:
         return self.basis @ self.basis.conj().T
+
+    def contains(self, B, tol=None) -> bool:
+        """ran B inside this subspace: ||B - Q (Q^H B)||_F <= threshold(||B||_F).
+
+        The library's one range test; a NaN in B fails it.
+        """
+        t = as_tolerance(tol)
+        M = as_matrix(B)
+        if M.shape[0] != self.ambient_dim:
+            raise DimensionMismatch("row counts differ")
+        return frobenius(M - self.basis @ (self.basis.conj().T @ M)) <= t.threshold(frobenius(M))
 
     def complement(self) -> "Subspace":
         """The orthogonal complement: the last q - d columns of a complete QR of the basis."""
@@ -297,7 +315,7 @@ def fiber_projector(M, V: Subspace, tol=None) -> Array:
     Computed as I - N^+ N with N = (I - P_V) M: the fiber is exactly the null
     space of N.  A singular value sigma of N counts as zero when
     ``sigma * ||M||_F <= threshold(||M||_F^2)``: for M = sqrt(A) that judges
-    N at the scale of A (||M||_F^2 = trace A), where ``range_included`` judges
+    N at the scale of A (||M||_F^2 = trace A), where ``V.contains`` judges
     ran A inside V, not at the scale of N's own largest singular value.
     """
     t = as_tolerance(tol)
@@ -345,14 +363,9 @@ def _loewner_leq(a, b, t: Tolerance) -> bool:
 
 
 def range_included(B, A, tol=None) -> bool:
-    """ran B inside ran A, decided by the projector residual ||(I - P_A) B||."""
+    """ran B inside ran A: ``Subspace.contains`` on the span of A's columns."""
     t = as_tolerance(tol)
-    MB = as_matrix(B)
-    MA = as_matrix(A)
-    if MA.shape[0] != MB.shape[0]:
-        raise DimensionMismatch("row counts differ")
-    P = herm_part(MA @ pinv(MA, t))
-    return frobenius(MB - P @ MB) <= t.threshold(frobenius(MB))
+    return subspace_from_columns(A, t).contains(B, t)
 
 
 def ranges_intersect_trivially(A, B, tol=None) -> bool:

@@ -33,7 +33,6 @@ from .linalg import (
     frobenius,
     herm_part,
     pinv,
-    range_included,
     ranges_intersect_trivially,
 )
 
@@ -147,7 +146,7 @@ def in_lcr(A, V: Subspace, X, tol=None) -> bool:
         raise DimensionMismatch("V has the wrong ambient dimension")
     a, x = [_checked(M, t, "in_lcr requires Hermitian A and X") for M in (MA, MX)]
     psd = _psd_floor(_lapack("eigvalsh", x[0]), t)
-    return psd and _loewner_leq(x, a, t) and range_included(MX, V.basis, t)
+    return psd and _loewner_leq(x, a, t) and V.contains(MX, t)
 
 
 def decompose(A, V: Subspace, tol=None) -> tuple[Array, Array]:
@@ -172,7 +171,4 @@ def is_unique_split(A, V: Subspace, X, Y, tol=None) -> bool:
         raise DimensionMismatch("V has the wrong ambient dimension")
     if frobenius(MX + MY - MA) > t.threshold(frobenius(MA)):
         raise SplitInvalid("X + Y does not reconstruct A within tolerance")
-    return (
-        range_included(MX, V.basis, t)
-        and ranges_intersect_trivially(MY, V.basis, t)
-    )
+    return V.contains(MX, t) and ranges_intersect_trivially(MY, V.basis, t)

@@ -6,11 +6,20 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import measure_moments, random_psd, random_subspace, stieltjes_measure_sequence
+from conftest import (
+    hamburger_measure_sequence,
+    measure_moments,
+    nonextendable_hamburger,
+    nonextendable_stieltjes,
+    random_psd,
+    random_subspace,
+    stieltjes_measure_sequence,
+)
 
 import momentschur as M
 from momentschur import linalg
-from momentschur.linalg import _hermitian, loewner_leq, psd_clip, psd_verdict
+from momentschur.hamburger import Tower
+from momentschur.linalg import Tolerance, _hermitian, _Spectrum, loewner_leq, psd_verdict
 
 NON_FINITE = (
     [1.0, 0.0, np.inf],
@@ -169,11 +178,64 @@ def _four_atom_sequence():
 
 
 def test_one_eigh_per_slack_serves_every_scale(factorizations):
-    # kappa_j is clipped as level j's slack and again as level j + 1's
-    # previous slack, at a larger scale: one eigh serves both
+    # kappa_j is clipped as level j's slack, and its range is taken as level
+    # j + 1's previous slack, at a larger scale: one eigh serves both, and
+    # the range needs no SVD or pseudo-inverse of its own
     M.classify_stieltjes(_four_atom_sequence(), 0.5)
-    assert factorizations["eigh"] == 31
-    assert sum(factorizations.values()) == 35
+    assert factorizations["eigh"] == 21
+    assert factorizations["svd"] == 0
+    assert sum(factorizations.values()) == 24
+
+
+def test_a_hamburger_classify_takes_each_range_from_its_slack_spectrum(factorizations):
+    M.classify_hamburger(_four_atom_sequence())
+    assert factorizations == Counter(eigh=5, eigvalsh=2)
+
+
+def _stream():
+    """(sequence, alpha) pairs with rank-deficient, full-rank and zero slacks."""
+    rng = np.random.default_rng(17)
+    for q in (1, 2, 3):
+        for length in (5, 7, 9):
+            yield hamburger_measure_sequence(rng, q, length, max_rank=1), None
+            yield hamburger_measure_sequence(rng, q, length), None
+            alpha = float(rng.choice([-1.0, 0.5]))
+            yield stieltjes_measure_sequence(rng, alpha, q, length, max_rank=1), alpha
+            yield stieltjes_measure_sequence(rng, alpha, q, length), alpha
+        yield nonextendable_hamburger(rng, q, 2), None
+        yield nonextendable_stieltjes(rng, 0.5, q, 4), 0.5
+
+
+def test_the_range_of_a_slack_has_the_rank_of_its_clip():
+    t = Tolerance()
+    checked = 0
+    for s, alpha in _stream():
+        tower = Tower(s, t, alpha)
+        for m in range(tower.step, s.kappa + 1, tower.step):
+            scale = tower._scale(tower._sizes[m])
+            record = tower._spectrum(m - tower.step)
+            try:
+                clip = record.clip(scale, t)
+            except (M.NotPSD, M.NotHermitian):
+                continue
+            assert record.range(scale, t).dim == M.numerical_rank(clip, t)
+            checked += 1
+    assert checked > 100, checked
+
+
+def test_range_verdicts_factorize_no_orthonormal_basis(factorizations):
+    # V.contains projects with V's basis: in_lcr makes only its two PSD
+    # verdicts, and is_unique_split only the rank-sum test's three SVDs
+    rng = np.random.default_rng(5)
+    A = random_psd(rng, 3, 3)
+    V = random_subspace(rng, 3, 2)
+    X, Y = M.decompose(A, V)
+    factorizations.clear()
+    assert M.in_lcr(A, V, X)
+    assert factorizations == Counter(eigvalsh=2)
+    factorizations.clear()
+    assert M.is_unique_split(A, V, X, Y)
+    assert factorizations == Counter(svd=3)
 
 
 @pytest.mark.parametrize("alpha", [None, 0.5])
@@ -199,7 +261,7 @@ def test_a_class_test_above_the_block_scale_reuses_the_slack_spectrum(factorizat
 @pytest.mark.parametrize("A", [[[np.nan, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]]], ids=["nan", "skew"])
 def test_a_clip_factorizes_only_a_hermitian_matrix(factorizations, A):
     with pytest.raises(M.NotHermitian, match="^matrix is not Hermitian within the working-scale tolerance$"):
-        psd_clip(np.array(A), 1.0)
+        _Spectrum(np.array(A, dtype=complex)).clip(1.0, Tolerance())
     assert factorizations["eigh"] == 0
 
 

@@ -22,11 +22,11 @@ from momentschur import (
 from momentschur.linalg import (
     _hermitian,
     _psd_root,
+    _Spectrum,
     as_matrix,
     as_tolerance,
     frobenius,
     herm_part,
-    psd_clip,
     psd_verdict,
 )
 
@@ -67,7 +67,9 @@ class TestAsMatrix:
     def test_vector_becomes_column(self):
         assert as_matrix([1.0, 2.0, 3.0]).shape == (3, 1)
 
-    @pytest.mark.parametrize("f", [lambda A: psd_clip(A, 1.0), lambda A: loewner_leq(A, A)])
+    @pytest.mark.parametrize(
+        "f", [lambda A: loewner_leq(np.eye(2), A), lambda A: loewner_leq(A, A)]
+    )
     def test_square_required(self, f):
         with pytest.raises(DimensionMismatch, match=r"^expected a square matrix, got shape \(2, 3\)$"):
             f(np.ones((2, 3)))
@@ -108,26 +110,31 @@ class TestPsdSqrt:
             assert frobenius(Q @ Q - A) <= 1e-9 * max(1.0, frobenius(A))
 
 
+def clip(A, scale):
+    """The clip a tower takes of a slack A at working scale ``scale``."""
+    return _Spectrum(np.asarray(A, dtype=complex)).clip(scale, Tolerance())
+
+
 class TestPsdClip:
     def test_flattens_noise_at_working_scale(self):
         # a residual of quantities of size ~2e3 may carry +-1e-9 eigenvalue
         # noise; at that working scale the clip returns the exact zero
         noise = np.diag([1e-9, -7e-10]).astype(complex)
-        np.testing.assert_allclose(psd_clip(noise, 2e3), np.zeros((2, 2)))
+        np.testing.assert_allclose(clip(noise, 2e3), np.zeros((2, 2)))
 
     def test_keeps_content_above_the_band(self):
         A = np.diag([5.0, 1e-9]).astype(complex)
-        np.testing.assert_allclose(psd_clip(A, 2e3), np.diag([5.0, 0.0]))
+        np.testing.assert_allclose(clip(A, 2e3), np.diag([5.0, 0.0]))
 
     def test_rejects_genuine_negative(self):
         with pytest.raises(NotPSD):
-            psd_clip(np.diag([1.0, -1.0]), 2.0)
+            clip(np.diag([1.0, -1.0]), 2.0)
 
     def test_skew_noise_tolerated_at_scale(self):
         skew = np.array([[0.0, 1e-9], [-1e-9, 0.0]])
-        np.testing.assert_allclose(psd_clip(skew, 2e3), np.zeros((2, 2)))
+        np.testing.assert_allclose(clip(skew, 2e3), np.zeros((2, 2)))
         with pytest.raises(NotHermitian):
-            psd_clip(np.array([[0.0, 1.0], [-1.0, 0.0]]), 2.0)
+            clip(np.array([[0.0, 1.0], [-1.0, 0.0]]), 2.0)
 
 
 def _check_penrose(A, X, scale):
@@ -232,6 +239,43 @@ class TestSubspace:
 
     def test_from_empty_columns(self):
         assert subspace_from_columns(np.zeros((4, 0))).dim == 0
+
+    def test_contains_on_the_zero_subspace_and_the_whole_space(self):
+        B = random_complex(np.random.default_rng(41), 3, 2)
+        zero, whole = Subspace.zero(3), Subspace(np.eye(3, dtype=complex))
+        assert zero.contains(np.zeros((3, 2)))
+        assert not zero.contains(B)
+        assert not zero.contains(1e-9 * B)
+        assert zero.contains(1e-11 * B)
+        assert whole.contains(B)
+
+    def test_contains_agrees_with_range_included(self):
+        rng = np.random.default_rng(43)
+        V = random_subspace(rng, 4, 2)
+        inside = V.basis @ random_complex(rng, 2, 3)
+        assert V.contains(inside) and range_included(inside, V.basis)
+        assert not V.contains(random_complex(rng, 4, 1))
+
+    @pytest.mark.parametrize("d", [0, 2, 3])
+    def test_contains_fails_nan(self, d):
+        V = Subspace(np.eye(3, d, dtype=complex))
+        assert not V.contains(np.array([[np.nan], [0.0], [0.0]]))
+
+    def test_contains_needs_matching_rows(self):
+        with pytest.raises(DimensionMismatch, match="^row counts differ$"):
+            Subspace(np.eye(3, dtype=complex)).contains(np.eye(2))
+
+    def test_a_lapack_basis_keeps_its_bits(self):
+        M = random_complex(np.random.default_rng(47), 6, 6)
+        bases = (np.linalg.eigh(M + M.conj().T)[1], np.linalg.svd(M)[0], np.linalg.qr(M)[0])
+        for U in bases:
+            assert np.array_equal(Subspace(U[:, :4]).basis, U[:, :4])
+
+    def test_a_basis_off_the_identity_is_reorthonormalized(self):
+        Q = random_subspace(np.random.default_rng(1), 6, 3).basis
+        B = Subspace(Q * (1 + 5e-10)).basis
+        np.testing.assert_allclose(B.conj().T @ B, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(B @ B.conj().T, Q @ Q.conj().T, atol=1e-14)
 
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):

@@ -123,6 +123,20 @@ class TestCrossPath:
         assert float(np.real(x @ S @ x)) == pytest.approx(10.683883, abs=1e-6)
         assert variational_value(A, V, x) == pytest.approx(10.683883, abs=1e-6)
 
+    def test_a_basis_off_by_1e_9_gives_the_complement_of_its_span(self):
+        # Gram error 1.7e-9: B B^H is no projector, so the constructor keeps
+        # the Q of B's QR, and S matches the variational form on that span
+        Q = random_subspace(np.random.default_rng(1), 6, 3).basis
+        V = Subspace(Q * (1 + 5e-10))
+        A = np.diag(np.arange(1.0, 7.0))
+        x = np.ones(6)
+        S = schur_complement(A, V).S
+        assert float(np.real(x @ S @ x)) == pytest.approx(variational_value(A, V, x), abs=1e-8)
+        assert variational_value(A, V, x) == pytest.approx(10.683883, abs=1e-6)
+        assert V.contains(S) and V.contains(Q)
+        assert not V.contains(V.complement().basis)
+        np.testing.assert_allclose(schur_complement_via_basis(A, V), S, atol=1e-8)
+
 
 class TestOrderingAndRanges:
     def test_sandwich(self):
