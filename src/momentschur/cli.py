@@ -36,14 +36,13 @@ from .jsonio import (
 )
 from .linalg import (
     Tolerance,
+    _rank_sum_holds,
     as_matrix,
     as_tolerance,
     herm_part,
     loewner_leq,
     numerical_rank,
     psd_verdict,
-    range_included,
-    ranges_intersect_trivially,
     subspace_from_columns,
 )
 from .schur import schur_complement
@@ -74,7 +73,8 @@ def cmd_schur(args) -> dict:
     V = subspace_from_columns(V_columns, t)
     result = schur_complement(A, V, t)
     M = herm_part(as_matrix(A))
-    rank_A = numerical_rank(M, t)
+    range_A = subspace_from_columns(M, t)
+    rank_A = range_A.dim
     rank_S = numerical_rank(result.S, t)
     intersection_dim = rank_A + V.dim - numerical_rank(np.hstack([M, V.basis]), t)
     return {
@@ -91,10 +91,10 @@ def cmd_schur(args) -> dict:
             "S_psd": psd_verdict(result.S, t),
             "S_leq_A": loewner_leq(result.S, M, t),
             "range_S_in_V": V.contains(result.S, t),
-            "range_S_in_range_A": range_included(result.S, M, t),
+            "range_S_in_range_A": range_A.contains(result.S, t),
             "rank_S_is_dim_of_range_A_cap_V": rank_S == intersection_dim,
-            "complement_range_meets_V_trivially": ranges_intersect_trivially(
-                result.complement, V.basis, t
+            "complement_range_meets_V_trivially": _rank_sum_holds(
+                result.complement, None, V.basis, V.dim, t
             ),
         },
     }

@@ -42,13 +42,14 @@ from .linalg import (
     _Spectrum,
     _checked,
     _loewner_leq,
+    _rank_sum_holds,
     as_matrix,
     as_tolerance,
     frobenius,
     herm_part,
+    numerical_rank,
     pinv,
     psd_verdict,
-    ranges_intersect_trivially,
 )
 from .schur import schur_complement
 
@@ -478,14 +479,16 @@ class Tower:
         # judge the differences at the block scale, as the slacks are judged
         size = frobenius(r[m])
         scale = self._scale(max(self._sizes[m], size))
+        # a clip's rank is its count of nonzero banded eigenvalues; a
+        # difference that fails the band stays raw and takes an SVD rank
         D = r[m] - R
         try:
-            D = _Spectrum(D).clip(scale, t)
+            D, rank_d = _Spectrum(D).clip_rank(scale, t)
             difference_psd = True
         except (NotPSD, NotHermitian):
-            difference_psd = False
-        k_prev = self._spectrum(m - self.step).clip(scale, t)
-        return prefix_equal, difference_psd, ranges_intersect_trivially(D, k_prev, t)
+            difference_psd, rank_d = False, numerical_rank(D, t)
+        k_prev, rank_k = self._spectrum(m - self.step).clip_rank(scale, t)
+        return prefix_equal, difference_psd, _rank_sum_holds(D, rank_d, k_prev, rank_k, t)
 
 
 # Hamburger (True) and Stieltjes: slack step, name of the given bound, the

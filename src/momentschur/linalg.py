@@ -179,6 +179,11 @@ class _Spectrum:
         """M with its eigenvalue noise at working scale ``scale`` set to 0."""
         return _rebuilt(*self._band(scale, t))
 
+    def clip_rank(self, scale, t: Tolerance) -> tuple[Array, int]:
+        """(clip, rank): the clip at working scale ``scale``, and its nonzero eigenvalues' count."""
+        w, U = self._band(scale, t)
+        return _rebuilt(w, U), int(np.count_nonzero(w))
+
     def range(self, scale, t: Tolerance) -> "Subspace":
         """ran M at working scale ``scale``: the eigenvectors outside the band."""
         w, U = self._band(scale, t)
@@ -375,5 +380,21 @@ def ranges_intersect_trivially(A, B, tol=None) -> bool:
     MB = as_matrix(B)
     if MA.shape[0] != MB.shape[0]:
         raise DimensionMismatch("row counts differ")
-    stacked = np.hstack([MA, MB])
-    return numerical_rank(stacked, t) == numerical_rank(MA, t) + numerical_rank(MB, t)
+    return _rank_sum_holds(MA, numerical_rank(MA, t), MB, numerical_rank(MB, t), t)
+
+
+def _rank_sum_holds(A: Array, rank_a, B: Array, rank_b, t: Tolerance) -> bool:
+    """rank [A B] = rank_a + rank_b: given the ranks of A and B, ran A meets ran B only in 0.
+
+    A rank of None is ``numerical_rank``'s, taken only when needed.  A or B
+    with no nonzero entry passes: [A B] is then the other plus zero columns.
+    A rank sum above the row count fails: [A B] has no larger rank.  Else one
+    values-only SVD of [A B] decides.
+    """
+    if not (A.any() and B.any()):
+        return True
+    rank_a = numerical_rank(A, t) if rank_a is None else rank_a
+    rank_b = numerical_rank(B, t) if rank_b is None else rank_b
+    if rank_a + rank_b > A.shape[0]:
+        return False
+    return numerical_rank(np.hstack([A, B]), t) == rank_a + rank_b

@@ -27,13 +27,13 @@ from .linalg import (
     _pinv_rule,
     _psd_floor,
     _psd_root,
+    _rank_sum_holds,
     as_matrix,
     as_tolerance,
     fiber_projector,
     frobenius,
     herm_part,
     pinv,
-    ranges_intersect_trivially,
 )
 
 
@@ -169,6 +169,8 @@ def is_unique_split(A, V: Subspace, X, Y, tol=None) -> bool:
         raise DimensionMismatch("A, X, Y must be square matrices of equal size")
     if V.ambient_dim != MA.shape[0]:
         raise DimensionMismatch("V has the wrong ambient dimension")
-    if frobenius(MX + MY - MA) > t.threshold(frobenius(MA)):
+    # a NaN fails the check too, before any rank shortcut can pass it
+    if not frobenius(MX + MY - MA) <= t.threshold(frobenius(MA)):
         raise SplitInvalid("X + Y does not reconstruct A within tolerance")
-    return V.contains(MX, t) and ranges_intersect_trivially(MY, V.basis, t)
+    # an orthonormal basis has rank V.dim
+    return V.contains(MX, t) and _rank_sum_holds(MY, None, V.basis, V.dim, t)

@@ -11,6 +11,7 @@ from conftest import (
     measure_moments,
     nonextendable_hamburger,
     nonextendable_stieltjes,
+    random_complex,
     random_psd,
     random_subspace,
     stieltjes_measure_sequence,
@@ -225,7 +226,8 @@ def test_the_range_of_a_slack_has_the_rank_of_its_clip():
 
 def test_range_verdicts_factorize_no_orthonormal_basis(factorizations):
     # V.contains projects with V's basis: in_lcr makes only its two PSD
-    # verdicts, and is_unique_split only the rank-sum test's three SVDs
+    # verdicts, and is_unique_split only the rank-sum test's two SVDs, of Y
+    # and of [Y, basis]: the basis has rank V.dim
     rng = np.random.default_rng(5)
     A = random_psd(rng, 3, 3)
     V = random_subspace(rng, 3, 2)
@@ -235,13 +237,28 @@ def test_range_verdicts_factorize_no_orthonormal_basis(factorizations):
     assert factorizations == Counter(eigvalsh=2)
     factorizations.clear()
     assert M.is_unique_split(A, V, X, Y)
-    assert factorizations == Counter(svd=3)
+    assert factorizations == Counter(svd=2)
+
+
+@pytest.mark.parametrize("d, svd", [(0, 0), (3, 1)])
+def test_a_unique_split_at_a_trivial_subspace_needs_at_most_the_rank_of_y(factorizations, d, svd):
+    # V = 0: the basis has no entry, and [Y, basis] is Y.  V = C^3: Y = 1e-3 I
+    # has rank 3, and 3 + 3 > 3 rows fails without a stacked SVD
+    rng = np.random.default_rng(5)
+    A = random_psd(rng, 3, 3)
+    V = random_subspace(rng, 3, d)
+    X, Y = M.decompose(A, V) if d == 0 else (A - 1e-3 * np.eye(3), 1e-3 * np.eye(3))
+    factorizations.clear()
+    assert M.is_unique_split(A, V, X, Y) == (d == 0)
+    assert factorizations == Counter(svd=svd)
 
 
 @pytest.mark.parametrize("alpha", [None, 0.5])
 def test_a_class_test_above_the_block_scale_reuses_the_slack_spectrum(factorizations, alpha):
     # r_m = 3 R + 10 I lifts the scale of the class test above the block
-    # scale; kappa_{m-step} is clipped there from its held eigendecomposition
+    # scale; kappa_{m-step} is clipped there from its held eigendecomposition.
+    # r_m - R_m = 2 R + 10 I has rank 2 = q, so with kappa_{m-step} != 0 the
+    # rank sum exceeds q and no SVD is needed
     s = _four_atom_sequence()
     if alpha is None:
         s = s.prefix(9)
@@ -254,7 +271,94 @@ def test_a_class_test_above_the_block_scale_reuses_the_slack_spectrum(factorizat
         M.same_class(s, r)
     else:
         M.same_class_stieltjes(s, r, alpha)
-    assert factorizations == Counter(eigh=1, svd=3)
+    assert factorizations == Counter(eigh=1)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5])
+def test_a_class_test_against_the_canonical_representative_makes_one_eigh(factorizations, alpha):
+    # r_m - R_m = 0 exactly: one eigh clips it, and a zero difference meets
+    # every range only in 0 without an SVD
+    s = _four_atom_sequence()
+    if alpha is None:
+        s = s.prefix(9)
+        report = M.classify_hamburger(s)
+    else:
+        report = M.classify_stieltjes(s, alpha)
+    factorizations.clear()
+    if alpha is None:
+        assert M.same_class(s, report.canonical)
+    else:
+        assert M.same_class_stieltjes(s, report.canonical, alpha)
+    assert factorizations == Counter(eigh=1)
+
+
+def _reference_disjoint(tower, last):
+    """The class test's third verdict by the reference rank-sum formula."""
+    t, m = tower.t, tower.top()
+    R = tower.r(m)
+    scale = tower._scale(max(tower._sizes[m], np.linalg.norm(last)))
+    D = last - R
+    try:
+        D = _Spectrum(D).clip(scale, t)
+    except (M.NotPSD, M.NotHermitian):
+        pass
+    K = tower._spectrum(m - tower.step).clip(scale, t)
+    return M.ranges_intersect_trivially(D, K, t)
+
+
+def test_class_test_ranges_match_the_reference_rank_sum():
+    # R, R +- 1e-3 I, R + v v^H (v random), R + 0.3 u u^H (u the top
+    # eigenvector of kappa_{m-step}, so that the ranges meet)
+    rng = np.random.default_rng(29)
+    # six atoms keep kappa_{m-step} nonzero, as _stream's few atoms mostly do not
+    rich = []
+    for q in (1, 2, 3):
+        for length in (3, 5):
+            rich.append((hamburger_measure_sequence(rng, q, length, n_atoms=6), None))
+            rich.append((stieltjes_measure_sequence(rng, 0.5, q, length, n_atoms=6), 0.5))
+            rich.append((stieltjes_measure_sequence(rng, -1.0, q, length + 1, n_atoms=6), -1.0))
+    verdicts = Counter()
+    for s, alpha in [*_stream(), *rich]:
+        tower = Tower(s, None, alpha)
+        m = tower.top()
+        if not tower.nnd(m):
+            continue
+        R = tower.r(m)
+        v = random_complex(rng, s.q, 1)
+        u = np.linalg.eigh(tower.kappa(m - tower.step))[1][:, -1:]
+        I = np.eye(s.q)
+        for last in (R, R + 1e-3 * I, R - 1e-3 * I, R + v @ v.conj().T, R + 0.3 * u @ u.conj().T):
+            verdict = Tower(s, None, alpha).conditions(s.with_last(last))[2]
+            assert verdict == _reference_disjoint(tower, last)
+            verdicts[verdict] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50, verdicts
+
+
+def _splits(rng):
+    """(A, V, X, Y): decompose's splits, and the same moved by 1e-3 and 1e-9."""
+    cases = [(1e-10 * np.eye(5), random_subspace(rng, 5, 2))]
+    for _ in range(60):
+        q = int(rng.integers(1, 6))
+        cases.append((random_psd(rng, q, int(rng.integers(0, q + 1))),
+                      random_subspace(rng, q, int(rng.integers(0, q + 1)))))
+    for A, V in cases:
+        X, Y = M.decompose(A, V)
+        yield A, V, X, Y
+        v = random_complex(rng, A.shape[0], 1)
+        # a rank-one move, mostly out of V, and a move of V's projector
+        moves = [v @ v.conj().T] + ([V.projector()] if V.dim else [])
+        for eps in (1e-3, 1e-9):
+            for P in moves:
+                yield A, V, X - eps * P, Y + eps * P
+
+
+def test_unique_split_matches_the_reference_rank_sum():
+    verdicts = Counter()
+    for A, V, X, Y in _splits(np.random.default_rng(31)):
+        verdict = M.is_unique_split(A, V, X, Y)
+        assert verdict == (V.contains(X) and M.ranges_intersect_trivially(Y, V.basis))
+        verdicts[verdict] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50, verdicts
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -321,6 +321,12 @@ class TestUniqueSplit:
         with pytest.raises(SplitInvalid):
             is_unique_split(np.eye(2), E1, np.eye(2), np.eye(2))
 
+    @pytest.mark.parametrize("V", [Subspace.zero(2), E1], ids=["zero", "e1"])
+    def test_a_nan_split_is_invalid(self, V):
+        # X + Y is NaN, so it does not reconstruct A, whatever V is
+        with pytest.raises(SplitInvalid):
+            is_unique_split(np.eye(2), V, np.zeros((2, 2)), np.full((2, 2), np.nan))
+
     def test_shape_checks(self):
         with pytest.raises(DimensionMismatch):
             is_unique_split(np.eye(2), E1, np.eye(3), np.eye(2))
