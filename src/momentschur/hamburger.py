@@ -402,6 +402,11 @@ class Tower:
 
     def r(self, m: int) -> Array:
         """R_m, the tight upper bound for s_m (R_0 = s_0); s_0..s_m must be nnd."""
+        # R_0 is the block s_0, handed out read-only as every block is
+        return self._r(m).copy() if m else self._r(m)
+
+    def _r(self, m: int) -> Array:
+        # R_m as held, read-only
         if not self.nnd(m):
             raise self._not_nnd(
                 f"the sequence s_0..s_{'2n' if self.step == 2 else 'm'} "
@@ -412,13 +417,13 @@ class Tower:
         if m not in self._rs:
             k_m, V = self._clipped(m)
             self._rs[m] = _frozen(self.u(m - 1) + schur_complement(k_m, V, self.t).S)
-        return self._rs[m].copy()
+        return self._rs[m]
 
-    def interval(self, t_last, bound: str) -> tuple[Array, Array, bool]:
-        """(lower, upper, member) of the admissible interval for the last block.
+    def member(self, t_last, bound: str) -> bool:
+        """Is t_last in the admissible interval for the last block: lower <= t_last <= upper?
 
         lower is u_{m-1}; upper is s_m for ``bound == self.given`` and R_m for
-        "r_upper"; member says whether lower <= t_last <= upper.
+        "r_upper".  The comparisons read the ends ``_end`` holds.
         """
         t = self.t
         m = self.top()
@@ -429,25 +434,35 @@ class Tower:
         if T.shape != (q, q):
             raise DimensionMismatch(f"candidate block has shape {T.shape}, expected {(q, q)}")
         checked = _checked(T, t, "candidate last block must be Hermitian")
-        lower = self.u(m - 1)
-        if bound == self.given:
-            upper = self.s[m]
-        elif bound == "r_upper":
-            upper = self.r(m)
-        else:
+        if bound == "r_upper":
+            # R_m is evaluated, and raises, before any comparison
+            self._r(m)
+        elif bound != self.given:
             raise ValueError(f"bound must be '{self.given}' or 'r_upper'")
-        member = _loewner_leq(self._end("lower", lower), checked, t) and _loewner_leq(
-            checked, self._end(bound, upper), t
+        return _loewner_leq(self._end("lower"), checked, t) and _loewner_leq(
+            checked, self._end(bound), t
         )
-        return lower, upper, member
 
-    def _end(self, name: str, end: Array) -> tuple[Array, float]:
-        """``_checked``'s (Hermitian part, norm) of the interval end ``name``.
+    def interval(self, t_last, bound: str) -> tuple[Array, Array, bool]:
+        """(lower, upper, member) of the admissible interval for the last block (see ``member``)."""
+        member = self.member(t_last, bound)
+        m = self.s.kappa
+        return self.u(m - 1), (self.s[m] if bound == self.given else self.r(m)), member
 
-        The given s_m is tested on its stored norms.
+    def _end(self, name: str) -> tuple[Array, float]:
+        """``_checked``'s (Hermitian part, norm) of the interval end ``name``, built once.
+
+        The ends are u_{m-1} ("lower"), the given s_m, tested on its stored
+        norms, and R_m ("r_upper").
         """
         if name not in self._ends:
-            norms = self.s.norms[self.s.kappa] if name == self.given else None
+            m = self.s.kappa
+            if name == "lower":
+                end, norms = self.u(m - 1), None
+            elif name == self.given:
+                end, norms = self.s[m], self.s.norms[m]
+            else:
+                end, norms = self._r(m), None
             message = "Loewner comparison requires Hermitian matrices"
             H, norm = _checked(end, self.t, message, norms=norms)
             self._ends[name] = _frozen(H), norm
@@ -470,7 +485,7 @@ class Tower:
         if m < self.step:
             raise TooShort(self._too_short)
         t = self.t
-        R = self.r(m)
+        R = self._r(m)
         # R_m is defined, so H holds s_0..s_{m-1} and passed the Hermitian
         # test: they are finite, and equal blocks differ by exactly 0
         prefix_equal = np.array_equal(r.stack[:m], s.stack[:m]) or all(
@@ -479,16 +494,30 @@ class Tower:
         # judge the differences at the block scale, as the slacks are judged
         size = frobenius(r[m])
         scale = self._scale(max(self._sizes[m], size))
-        # a clip's rank is its count of nonzero banded eigenvalues; a
-        # difference that fails the band stays raw and takes an SVD rank
+        # a clip's rank is its count of nonzero banded eigenvalues, and the
+        # clip is zero exactly when that count is; a difference that fails the
+        # band is not zero and stays raw, and its rank is numerical_rank's rule
+        # on its eigenvalues, or on its singular values when it is not Hermitian
         D = r[m] - R
+        spectrum = _Spectrum(D)
         try:
-            D, rank_d = _Spectrum(D).clip_rank(scale, t)
-            difference_psd = True
-        except (NotPSD, NotHermitian):
+            difference_psd, rank_d = True, spectrum.rank(scale, t)
+        except NotPSD:
+            difference_psd, rank_d = False, spectrum.unbanded_rank(t)
+        except NotHermitian:
             difference_psd, rank_d = False, numerical_rank(D, t)
-        k_prev, rank_k = self._spectrum(m - self.step).clip_rank(scale, t)
-        return prefix_equal, difference_psd, _rank_sum_holds(D, rank_d, k_prev, rank_k, t)
+        k_prev = self._spectrum(m - self.step)
+        rank_k = k_prev.rank(scale, t)
+        # _rank_sum_holds' shortcuts, read from the counts; a clip is rebuilt
+        # only for the SVD of [D K]
+        if (difference_psd and not rank_d) or not rank_k:
+            disjoint = True
+        elif rank_d + rank_k > s.q:
+            disjoint = False
+        else:
+            D = spectrum.clip(scale, t) if difference_psd else D
+            disjoint = _rank_sum_holds(D, rank_d, k_prev.clip(scale, t), rank_k, t)
+        return prefix_equal, difference_psd, disjoint
 
 
 # Hamburger (True) and Stieltjes: slack step, name of the given bound, the
@@ -558,7 +587,7 @@ def in_extension_interval(s, t_last, bound: str = "given_s2n", tol=None) -> bool
     last blocks of nonnegative definite sequences below the given one);
     bound="r_upper" tests Theta_n <= t <= R_n (the extendable analogue).
     """
-    return Tower.of(s, tol).interval(t_last, bound)[2]
+    return Tower.of(s, tol).member(t_last, bound)
 
 
 def same_class(s, r, tol=None) -> bool:

@@ -9,6 +9,7 @@ magnitude is at most ``eps_rel * max(1, s)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -38,10 +39,14 @@ class Tolerance:
         return self.eps_rel * max(1.0, abs(float(scale)))
 
 
+# frozen, so every call that gives no tolerance can share it
+_DEFAULT_TOLERANCE = Tolerance()
+
+
 def as_tolerance(tol) -> Tolerance:
     """Coerce None, a bare eps_rel float, or a Tolerance to a Tolerance."""
     if tol is None:
-        return Tolerance()
+        return _DEFAULT_TOLERANCE
     if isinstance(tol, Tolerance):
         return tol
     return Tolerance(eps_rel=float(tol))
@@ -71,7 +76,19 @@ def herm_part(A: Array) -> Array:
 
 
 def frobenius(A) -> float:
-    return float(np.linalg.norm(A))
+    """||A||_F by ``np.linalg.norm(A)``'s own arithmetic, bit for bit, without its dispatch.
+
+    Non-float input is cast to float first; the entries are taken in memory
+    order, and sqrt(re . re + im . im) is formed from two dot products.
+    """
+    x = np.asarray(A)
+    if x.dtype.kind not in "fc":
+        x = x.astype(float)
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def _lapack(name: str, *args, **kwargs):
@@ -111,15 +128,20 @@ def _checked(M, t: Tolerance, message: str, error=NotHermitian, norms=None) -> t
     Else error(message).  ``norms``, if given, are M's (||M||_F, ||M - M^H||_F),
     computed before.
     """
-    norm, skew = (frobenius(M), frobenius(M - M.conj().T)) if norms is None else norms
+    Mh = M.conj().T
+    norm, skew = (frobenius(M), frobenius(M - Mh)) if norms is None else norms
     if not _skew_within(skew, t.threshold(norm)):
         raise error(message)
-    return herm_part(M), norm
+    return 0.5 * (M + Mh), norm
 
 
 def _psd_floor(w, t: Tolerance, scale: float = 0.0) -> bool:
-    """Is min(w) >= -threshold(max(spectral radius, scale))?  w is ascending."""
-    return bool(w[0] >= -t.threshold(max(np.abs(w).max(), scale)))
+    """Is min(w) >= -threshold(max(spectral radius, scale))?  w is ascending.
+
+    The spectral radius of an ascending w is max(-w[0], w[-1]).
+    """
+    low = float(w[0])
+    return low >= -t.threshold(max(-low, float(w[-1]), scale))
 
 
 def _flatten_band(w, thr) -> Array:
@@ -147,15 +169,16 @@ def _psd_root(w, U, t: Tolerance) -> Array:
 
 
 class _Spectrum:
-    """A square M, its (||M||_F, ||M - M^H||_F), and eigh(herm_part(M)) once needed.
+    """A square M's Hermitian part H, its (||M||_F, ||M - M^H||_F), and eigh(H) once needed.
 
-    One record serves every scale M is clipped at, and its range at each.
+    One record serves every scale M is clipped at, and its range and rank at each.
     """
 
-    __slots__ = ("M", "norm", "skew", "_eigh")
+    __slots__ = ("H", "norm", "skew", "_eigh")
 
     def __init__(self, M: Array):
-        self.M, self.norm, self.skew = M, frobenius(M), frobenius(M - M.conj().T)
+        Mh = M.conj().T
+        self.H, self.norm, self.skew = 0.5 * (M + Mh), frobenius(M), frobenius(M - Mh)
         self._eigh = None
 
     def _band(self, scale, t: Tolerance) -> tuple[Array, Array]:
@@ -163,26 +186,33 @@ class _Spectrum:
 
         ``scale`` is the working scale of the computation that produced M: a
         difference of quantities of that size carries rounding noise
-        proportional to it, not to its own norm.  A clip and a range both
-        take this one step.  The Hermitian test and the eigenvalue band are
-        judged at threshold(max(scale, ||M||_F)).  M is factorized only once
-        it passes the test, so a NaN or a non-Hermitian M raises NotHermitian.
+        proportional to it, not to its own norm.  A clip, a range and a rank
+        all take this one step.  The Hermitian test and the eigenvalue band
+        are judged at threshold(max(scale, ||M||_F)).  M is factorized only
+        once it passes the test, so a NaN or a non-Hermitian M raises
+        NotHermitian; one below the band raises NotPSD after it.
         """
         thr = t.threshold(max(scale, self.norm))
         if not _skew_within(self.skew, thr):
             raise NotHermitian("matrix is not Hermitian within the working-scale tolerance")
         if self._eigh is None:
-            self._eigh = _lapack("eigh", herm_part(self.M))
+            self._eigh = _lapack("eigh", self.H)
         return _flatten_band(self._eigh[0], thr), self._eigh[1]
 
     def clip(self, scale, t: Tolerance) -> Array:
         """M with its eigenvalue noise at working scale ``scale`` set to 0."""
         return _rebuilt(*self._band(scale, t))
 
-    def clip_rank(self, scale, t: Tolerance) -> tuple[Array, int]:
-        """(clip, rank): the clip at working scale ``scale``, and its nonzero eigenvalues' count."""
-        w, U = self._band(scale, t)
-        return _rebuilt(w, U), int(np.count_nonzero(w))
+    def rank(self, scale, t: Tolerance) -> int:
+        """The clip's rank at working scale ``scale``: its nonzero eigenvalues' count."""
+        return int(np.count_nonzero(self._band(scale, t)[0]))
+
+    def unbanded_rank(self, t: Tolerance) -> int:
+        """``numerical_rank``'s rule on the eigenvalues: the count of |w| above threshold(max |w|).
+
+        For a record whose band raised NotPSD, which has made its eigh.
+        """
+        return int(np.count_nonzero(_pinv_rule(t)(np.abs(self._eigh[0]))))
 
     def range(self, scale, t: Tolerance) -> "Subspace":
         """ran M at working scale ``scale``: the eigenvectors outside the band."""

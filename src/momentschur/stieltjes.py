@@ -110,7 +110,7 @@ def in_extension_interval_stieltjes(
     bound="given_sm" tests u_{m-1} <= t <= s_m; bound="r_upper" tests
     u_{m-1} <= t <= R_m (last blocks of extendable sequences).
     """
-    return Tower.of(s, tol, alpha).interval(t_last, bound)[2]
+    return Tower.of(s, tol, alpha).member(t_last, bound)
 
 
 def same_class_stieltjes(s, r, alpha: float, tol=None) -> bool:

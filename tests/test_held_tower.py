@@ -296,6 +296,20 @@ def test_failed_checks_of_interval_ends_are_not_kept():
         assert M.in_extension_interval(s, T, bound) and M.in_extension_interval(s, T, bound)
 
 
+def test_r_upper_raises_before_any_comparison():
+    # R_2 fails the block-scale Hermitian test.  9 I lies below the lower end
+    # u_1 = Theta_1 = 10 I, so a comparison made first would answer False
+    s = _skewed_last(1.5)
+    below = 9 * np.eye(2)
+    for _ in range(2):
+        with pytest.raises(M.NotHermitian, match="not Hermitian within the working-scale tolerance"):
+            M.in_extension_interval(s, below, "r_upper")
+        with pytest.raises(ValueError, match="bound must be"):
+            M.in_extension_interval(s, below, "middle")
+        # the given end s_2 fails its own test, made only once the lower end holds
+        assert not M.in_extension_interval(s, below, "given_s2n")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("alpha", [None, -0.5])
 def test_class_tests_against_near_and_non_finite_prefixes(alpha):

@@ -20,7 +20,16 @@ from conftest import (
 import momentschur as M
 from momentschur import linalg
 from momentschur.hamburger import Tower
-from momentschur.linalg import Tolerance, _hermitian, _Spectrum, loewner_leq, psd_verdict
+from momentschur.linalg import (
+    Tolerance,
+    _hermitian,
+    _psd_floor,
+    _Spectrum,
+    as_tolerance,
+    frobenius,
+    loewner_leq,
+    psd_verdict,
+)
 
 NON_FINITE = (
     [1.0, 0.0, np.inf],
@@ -81,6 +90,83 @@ def test_an_infinite_off_diagonal_entry_fails_the_hermitian_test(value):
 def test_lapack_failure_raises_no_convergence(call):
     with pytest.raises(M.NoConvergence, match="did not converge"):
         call()
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _norm_cases():
+    rng = np.random.default_rng(41)
+    Z = random_complex(rng, 5, 5)
+    X = rng.standard_normal((4, 6))
+    Z_nan, Z_inf, X_infs = Z.copy(), Z.copy(), X.copy()
+    Z_nan[1, 2] = complex(np.nan, 1.0)
+    Z_inf[0, 0] = complex(0.0, np.inf)
+    X_infs[0, :2] = np.inf, -np.inf
+    return {
+        "complex": Z,
+        "real": X,
+        "integer": np.arange(-6, 6).reshape(3, 4),
+        "list": [[1, 2], [3, 4]],
+        "scalar": np.complex128(3 + 4j),
+        "empty_complex": np.zeros((0, 3), dtype=complex),
+        "empty_real": np.zeros((2, 0)),
+        "transposed": Z.T,
+        "conj_transposed": Z.conj().T,
+        "sliced": Z[::2, 1::2],
+        "reversed_real": X[:, ::-2],
+        "nan": Z_nan,
+        "inf": Z_inf,
+        "inf_real": X_infs,
+    }
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", list(_norm_cases()))
+def test_frobenius_is_numpys_norm_bit_for_bit(name):
+    A = _norm_cases()[name]
+    value = frobenius(A)
+    assert type(value) is float
+    assert _bits(value) == _bits(np.linalg.norm(A))
+
+
+def test_frobenius_matches_numpys_norm_on_random_blocks():
+    rng = np.random.default_rng(43)
+    for _ in range(2000):
+        q = int(rng.integers(1, 9))
+        A = random_complex(rng, q, q) * 10.0 ** rng.uniform(-150, 150)
+        assert _bits(frobenius(A)) == _bits(np.linalg.norm(A))
+        assert _bits(frobenius(A.real)) == _bits(np.linalg.norm(A.real))
+
+
+SPECTRA = [
+    [-30.0, -20.0],  # all negative
+    [-1e-11, -1e-12],
+    [1e-12, 2.0, 3.0],  # all positive
+    [0.0, 0.0, 0.0],  # all zero
+    [-0.0, 0.0],
+    [-0.0, 0.0, 5.0],  # mixed sign with +-0.0
+    [-5.0, -0.0, 0.0],
+    [-2.5e-9, 0.0, 20.0],
+    [-2.5e-9, 25.0],
+    [-25.0, -0.0, 1e-9],
+    [-2.0, 2.0],
+]
+
+
+@pytest.mark.parametrize("w", SPECTRA, ids=[str(w) for w in SPECTRA])
+@pytest.mark.parametrize("scale", [0.0, 0.5, 30.0])
+def test_the_psd_floor_reads_the_spectral_radius_from_the_ends(w, scale):
+    w = np.array(w)
+    t = Tolerance()
+    reference = bool(w[0] >= -t.threshold(max(np.abs(w).max(), scale)))
+    assert _psd_floor(w, t, scale) is reference
+
+
+def test_the_default_tolerance_is_one_shared_instance():
+    assert as_tolerance(None) is as_tolerance(None)
+    assert as_tolerance(None) == Tolerance()
 
 
 @pytest.fixture
@@ -290,6 +376,59 @@ def test_a_class_test_against_the_canonical_representative_makes_one_eigh(factor
     else:
         assert M.same_class_stieltjes(s, report.canonical, alpha)
     assert factorizations == Counter(eigh=1)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5])
+def test_a_class_test_whose_difference_fails_the_band_makes_one_eigh(factorizations, alpha):
+    # r_m - R_m = -1e-3 I fails the band with NotPSD; its rank, q = 2, is read
+    # from the eigh the band made, and with kappa_{m-step} != 0 the rank sum
+    # exceeds q, so no SVD is needed
+    s = _four_atom_sequence()
+    if alpha is None:
+        s = s.prefix(9)
+        report = M.classify_hamburger(s)
+    else:
+        report = M.classify_stieltjes(s, alpha)
+    r = s.with_last(report.R - 1e-3 * np.eye(2))
+    factorizations.clear()
+    if alpha is None:
+        assert not M.same_class(s, r)
+    else:
+        assert not M.same_class_stieltjes(s, r, alpha)
+    assert factorizations == Counter(eigh=1)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5])
+def test_a_warm_interval_test_makes_only_its_eigenvalue_tests(factorizations, monkeypatch, alpha):
+    # once a bound's ends are held, a question makes at most its two Loewner
+    # comparisons, and neither rebuilds u_{m-1} nor R_m
+    s = _four_atom_sequence()
+    if alpha is None:
+        s = s.prefix(9)
+        report = M.classify_hamburger(s)
+        lower, given = report.theta, "given_s2n"
+        interval = lambda T, bound: M.in_extension_interval(s, T, bound)
+    else:
+        report = M.classify_stieltjes(s, alpha)
+        lower, given = report.u[-1], "given_sm"
+        interval = lambda T, bound: M.in_extension_interval_stieltjes(s, alpha, T, bound)
+    I = np.eye(2)
+    candidates = (report.R, 0.5 * (lower + report.R), report.R + I, lower - I)
+    for bound in (given, "r_upper"):
+        interval(report.R, bound)
+    built = Counter()
+    for name in ("u", "r"):
+        def counted(self, j, _name=name, _real=getattr(Tower, name)):
+            built[_name] += 1
+            return _real(self, j)
+
+        monkeypatch.setattr(Tower, name, counted)
+    for bound in (given, "r_upper"):
+        for T in candidates:
+            factorizations.clear()
+            interval(T, bound)
+            assert set(factorizations) <= {"eigvalsh"} and factorizations["eigvalsh"] <= 2
+    assert built["u"] == built["r"] == 0
 
 
 def _reference_disjoint(tower, last):
