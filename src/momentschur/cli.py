@@ -10,6 +10,7 @@ mismatch, 5 even-length input on the Hamburger path, 6 non-Hermitian input,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 
@@ -50,14 +51,14 @@ from .stieltjes import classify_stieltjes
 
 
 def _read_json(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     return loads(text)
 
 
@@ -144,6 +145,25 @@ def cmd_class_test(args) -> dict:
                    same_class=all(checks))
 
 
+def _finite(text: str) -> float:
+    """The --alpha type: a finite number."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
+
+
+def _positive(text: str) -> float:
+    """The --tol type: a finite positive number."""
+    x = _finite(text)
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momentschur",
@@ -152,10 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, alpha=True):
-        sp.add_argument("--tol", type=float, default=None, metavar="EPS",
+        sp.add_argument("--tol", type=_positive, default=None, metavar="EPS",
                         help="relative tolerance (default 1e-10)")
         if alpha:
-            sp.add_argument("--alpha", type=float, default=None, metavar="A",
+            sp.add_argument("--alpha", type=_finite, default=None, metavar="A",
                             help="half-line endpoint; selects the Stieltjes path")
 
     sp = sub.add_parser("schur", help="Schur complement of A relative to span of V's columns")

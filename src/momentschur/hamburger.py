@@ -324,7 +324,14 @@ class Tower:
 
     def _theta(self, k: int, shifted: bool = False) -> Array:
         if (shifted, k) not in self._thetas:
-            self._thetas[shifted, k] = _frozen(theta(self.shift if shifted else self.s, k, self.t))
+            s = self.shift if shifted else self.s
+            if np.isfinite(s.stack[: 2 * k]).all():
+                value = theta(s, k, self.t)
+            else:
+                # Theta_k reads s_0..s_{2k-1}, and its pinv cannot factor a
+                # NaN or an inf: no number stands for it
+                value = np.full((s.q, s.q), np.nan, dtype=complex)
+            self._thetas[shifted, k] = _frozen(value)
         return self._thetas[shifted, k]
 
     def u(self, j: int) -> Array:

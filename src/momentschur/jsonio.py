@@ -8,8 +8,10 @@ digits, which is enough for every value to round-trip exactly.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -21,23 +23,59 @@ def _reject_constant(name):
     raise ParseError(f"non-finite JSON constant {name!r} is not allowed")
 
 
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def loads(text: str):
     try:
-        return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+        if text.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, and an integer literal of more digits than int()
+        # converts or nesting deeper than the decoder recurses
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
+# the exact types json gives numbers: a bool, an int subclass, is not one
+_NUMBERS = frozenset((int, float))
+_BAD = complex("nan")
+
+
+def _entry(v) -> complex:
+    """A matrix entry, a JSON number or [re, im] pair of them, as a complex.
+
+    Anything else, an int beyond float range included, becomes NaN, which the
+    finiteness check of its matrix reports as a bad entry.
+    """
+    try:
+        if type(v) in _NUMBERS:
+            return complex(v)
+        if type(v) is list and len(v) == 2:
+            re, im = v
+            if type(re) in _NUMBERS and type(im) in _NUMBERS:
+                return complex(re, im)
+    except OverflowError:
+        pass
+    return _BAD
+
+
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """Is v a finite JSON number?"""
+    return type(v) in _NUMBERS and cmath.isfinite(_entry(v))
 
 
-def parse_complex(v) -> complex:
-    if _is_real(v):
-        return complex(v, 0.0)
-    if isinstance(v, list) and len(v) == 2 and all(_is_real(c) for c in v):
-        return complex(v[0], v[1])
-    raise ParseError(f"bad matrix entry {v!r}: expected a real number or [re, im]")
+def _checked_entries(rows, obj) -> np.ndarray:
+    """``rows``, the converted first rows of ``obj``, as an array, if every entry is finite.
+
+    Otherwise ParseError names the first entry of ``obj``, in reading order,
+    that is not a finite number or pair.
+    """
+    M = np.array(rows, dtype=complex)
+    if not np.isfinite(M).all():
+        i, j = np.argwhere(~np.isfinite(M))[0]
+        raise ParseError(f"bad matrix entry {obj[i][j]!r}: expected a real number or [re, im]")
+    return M
 
 
 def parse_matrix(obj, rows_expected=None, scalar_ok=False):
@@ -45,10 +83,12 @@ def parse_matrix(obj, rows_expected=None, scalar_ok=False):
 
     ``rows_expected`` fixes the row count and allows zero columns: an empty
     list, or rows of width 0, then stand for a matrix with zero columns.
-    ``scalar_ok`` accepts a bare number as a 1x1 matrix.
+    ``scalar_ok`` accepts a bare number as a 1x1 matrix.  Each row is
+    converted in one pass and the whole matrix checked for finiteness once;
+    an error in a row's shape is reported after any bad entry before it.
     """
     if scalar_ok and _is_real(obj):
-        return np.array([[parse_complex(obj)]])
+        return np.array([[_entry(obj)]])
     if not isinstance(obj, list):
         raise ParseError(f"expected a matrix (list of rows), got {type(obj).__name__}")
     if not obj:
@@ -59,19 +99,20 @@ def parse_matrix(obj, rows_expected=None, scalar_ok=False):
     width = None
     for row in obj:
         if not isinstance(row, list):
+            _checked_entries(rows, obj)
             raise ParseError("each matrix row must be a list")
         if width is None:
             width = len(row)
         elif len(row) != width:
+            _checked_entries(rows, obj)
             raise ParseError("matrix rows have unequal lengths")
-        rows.append([parse_complex(v) for v in row])
+        rows.append(list(map(_entry, row)))
+    M = _checked_entries(rows, obj)
     if width == 0 and rows_expected is None:
         raise ParseError("matrix has no columns")
     if rows_expected is not None and len(rows) != rows_expected:
         raise ParseError(f"expected {rows_expected} rows, got {len(rows)}")
-    if width == 0:
-        return np.zeros((len(rows), 0), dtype=complex)
-    return np.array(rows, dtype=complex)
+    return M
 
 
 def parse_sequence_file(obj):
@@ -111,14 +152,8 @@ def parse_schur_file(obj):
     return A, V
 
 
-def matrix_json(M) -> list:
-    """Serialize a matrix as rows of [re, im] pairs (plain Python floats)."""
-    M = np.asarray(M, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
-
-
 def sequence_json(s: MomentSequence, alpha=None) -> dict:
-    out = {"q": s.q, "blocks": [matrix_json(b) for b in s]}
+    out = {"q": s.q, "blocks": s.blocks}
     if alpha is not None:
         out["alpha"] = float(alpha)
     return out
@@ -131,16 +166,48 @@ def _fmt_float(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("non-finite value in report")
-    return format(x, ".17g")
+    return "%.17g" % x
+
+
+def _layout(items, indent: int, opening: str = "[", closing: str = "]") -> str:
+    """The one layout rule, for the rendered ``items`` of a container at column ``indent``.
+
+    The container stays on one line when every item is one line and the whole
+    fits in ``_INLINE_WIDTH - indent`` columns; otherwise it puts one item per
+    line at ``indent + 2``.
+    """
+    flat = opening + ", ".join(items) + closing
+    if not items or (len(flat) + indent <= _INLINE_WIDTH and "\n" not in flat):
+        return flat
+    pad = "\n" + " " * (indent + 2)
+    return opening + pad + ("," + pad).join(items) + "\n" + " " * indent + closing
+
+
+def _matrix(M: np.ndarray, indent: int) -> str:
+    """A matrix as rows of [re, im] pairs, written from its values."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2:
+        raise TypeError(f"cannot serialize an array of ndim {M.ndim}")
+    if not np.isfinite(M).all():
+        raise ValueError("non-finite value in report")
+    at_row, at_pair = indent + 2, indent + 4
+    rows = []
+    # each row as re_0, im_0, re_1, im_1, ...; every float formatted once
+    for row in np.ascontiguousarray(M).view(float).tolist():
+        pairs = ["[%.17g, %.17g]" % part for part in zip(row[::2], row[1::2])]
+        if max(map(len, pairs), default=0) + at_pair > _INLINE_WIDTH:
+            # a pair of numbers is one line where it fits, and here one does
+            # not: each pair takes the rule
+            pairs = [_layout(pair[1:-1].split(", "), at_pair) for pair in pairs]
+        rows.append(_layout(pairs, at_row))
+    return _layout(rows, indent)
 
 
 def _render(obj, indent: int) -> str:
     """``obj`` as JSON text whose first line starts at column ``indent``.
 
-    A container stays on one line when every item is one line and the whole
-    fits in ``_INLINE_WIDTH - indent`` columns; otherwise it puts one item per
-    line at ``indent + 2``.  A dict value is judged at ``indent + 2``, without
-    its key.  Numpy arrays are written as their ``matrix_json`` form.
+    Containers follow ``_layout``; a dict value is judged at ``indent + 2``,
+    without its key.  A numpy array is a matrix: rows of [re, im] pairs.
     """
     if obj is None:
         return "null"
@@ -149,26 +216,19 @@ def _render(obj, indent: int) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _string(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, np.ndarray):
-        obj = matrix_json(obj)
+        return _matrix(obj, indent)
     if isinstance(obj, dict):
-        items = [f"{json.dumps(str(k))}: {_render(v, indent + 2)}" for k, v in obj.items()]
-        opening, closing = "{", "}"
-    elif isinstance(obj, (list, tuple)):
-        items = [_render(v, indent + 2) for v in obj]
-        opening, closing = "[", "]"
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    flat = opening + ", ".join(items) + closing
-    if not items or (len(flat) + indent <= _INLINE_WIDTH and "\n" not in flat):
-        return flat
-    pad = "\n" + " " * (indent + 2)
-    return opening + pad + ("," + pad).join(items) + "\n" + " " * indent + closing
+        items = [f"{_string(str(k))}: {_render(v, indent + 2)}" for k, v in obj.items()]
+        return _layout(items, indent, "{", "}")
+    if isinstance(obj, (list, tuple)):
+        return _layout([_render(v, indent + 2) for v in obj], indent)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj) -> str:

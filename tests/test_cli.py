@@ -32,6 +32,17 @@ def run_cli(*args, stdin=None):
     )
 
 
+def main_in_process(*argv):
+    """cli.main(argv) in this process; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse refusing the command line
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def write_seq(path, blocks, q=1, alpha=None):
     obj = {"q": q, "blocks": blocks}
     if alpha is not None:
@@ -176,12 +187,62 @@ class TestFlags:
         assert result.returncode == 0
         assert json.loads(result.stdout)["tolerance"] == 1e-8
 
+    @pytest.mark.parametrize(
+        "flag,value,complaint",
+        [
+            ("--tol", "0", "is not a positive number"),
+            ("--tol", "-1", "is not a positive number"),
+            ("--tol", "nan", "is not a finite number"),
+            ("--tol", "inf", "is not a finite number"),
+            ("--tol", "abc", "invalid float value"),
+            ("--alpha", "inf", "is not a finite number"),
+            ("--alpha", "-inf", "is not a finite number"),
+            ("--alpha", "nan", "is not a finite number"),
+        ],
+    )
+    def test_invalid_flag_values_are_refused_by_the_parser(self, flag, value, complaint):
+        # --flag=value: argparse takes "-inf" after a space for an option
+        code, out, err = main_in_process("classify", str(GOLDEN / "seq_101.json"), f"{flag}={value}")
+        assert code == 2 and out == ""
+        assert err.startswith("usage: momentschur classify")
+        assert f"error: argument {flag}: " in err and complaint in err
+
+    def test_a_refused_flag_exits_2_from_the_command_line(self):
+        result = run_cli("schur", str(GOLDEN / "schur_in.json"), "--tol", "0")
+        assert result.returncode == 2 and result.stdout == ""
+        assert "error: argument --tol: '0' is not a positive number" in result.stderr
+
 
 class TestExitCodes:
     def test_missing_file_is_parse_error(self):
         result = run_cli("schur", "/no/such/file.json")
         assert result.returncode == 2
         assert result.stderr.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("classify", '{"q": 1, "blocks": [[[1]], [[0]], [[1%s]]]}' % ("0" * 400)),
+            ("classify", '{"q": 1, "blocks": [[[1]], [[0]], [[1]]], "alpha": 1%s}' % ("0" * 400)),
+            ("schur", '{"A": [[[1%s, 0]]], "V": [[1]]}' % ("0" * 400)),
+            ("classify", '{"q": 1, "blocks": [[[1]], [[0]], [[1e999]]]}'),
+        ],
+        ids=["classify_block", "file_alpha", "schur_A", "overflowing_float"],
+    )
+    def test_numbers_beyond_float_range_are_parse_errors(self, tmp_path, command, text):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code, out, err = main_in_process(command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["classify", "schur"])
+    def test_input_that_is_not_utf8_is_parse_error(self, tmp_path, command):
+        path = tmp_path / "in.json"
+        path.write_bytes(b'{"q": 1, "blocks": [[[1]]], "note": "\xff"}')
+        code, out, err = main_in_process(command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
 
     def test_malformed_json_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,7 @@
 """Tests for JSON parsing and the deterministic report serializer."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,30 @@ from momentschur import ParseError
 from momentschur.jsonio import (
     dumps,
     loads,
-    matrix_json,
     parse_matrix,
     parse_schur_file,
     parse_sequence_file,
     sequence_json,
 )
+
+
+def matrix_json(M) -> list:
+    """The list form of a matrix, rows of [re, im] pairs of Python floats:
+    the reference the renderer's direct writing of arrays must match."""
+    M = np.asarray(M, dtype=complex)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+
+
+def entrywise(obj):
+    """The reference parse of a valid matrix, one entry at a time."""
+    return np.array(
+        [[complex(*v) if isinstance(v, list) else complex(v) for v in row] for row in obj],
+        dtype=complex,
+    )
+
+
+def bad_entry(v):
+    return f"^{re.escape(f'bad matrix entry {v!r}: expected a real number or [re, im]')}$"
 
 
 class TestLoads:
@@ -30,6 +50,19 @@ class TestLoads:
 
     def test_plain_object(self):
         assert loads('{"a": 1}') == {"a": 1}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" + "1" * 5000 + "]",  # more digits than int() converts
+            "\ufeff[1]",  # a byte order mark, as json.loads refuses it
+            "[" * 100_000,  # nesting deeper than the decoder recurses
+        ],
+        ids=["long_int", "bom", "deep"],
+    )
+    def test_unreadable_text_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            loads(text)
 
 
 class TestParseMatrix:
@@ -73,6 +106,54 @@ class TestParseMatrix:
         with pytest.raises(ParseError):
             parse_matrix([[1], [2]], rows_expected=3)
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [[1, 2], [3, 4]],
+            [[0.5, -2.25]],
+            [[[1, 2], [0.5, -0.0]]],
+            [[1, [0.5, 2]], [[3, -1], -7.5]],
+            [[-0.0, 5e-324, 1.7976931348623157e308, 2**53 + 1]],
+        ],
+        ids=["ints", "floats", "pairs", "mixed", "edges"],
+    )
+    def test_same_array_as_the_entrywise_form(self, obj):
+        M = parse_matrix(obj)
+        assert M.dtype == complex
+        # bitwise, so that -0.0 keeps its sign
+        assert M.tobytes() == entrywise(obj).tobytes()
+
+    @pytest.mark.parametrize(
+        "v",
+        [True, "1", None, [1], [1, 2, 3], [True, 1], [[1, 2]], [1, [2]], float("inf"),
+         [1, float("-inf")], 10**400, [1, 10**400]],
+        ids=["true", "string", "null", "short_pair", "long_pair", "bool_pair", "nested",
+             "nested_part", "inf", "inf_part", "huge_int", "huge_int_part"],
+    )
+    def test_bad_entries_keep_their_message(self, v):
+        # each bad entry is named in the message the CLI prints; an int
+        # beyond float range is one of them, not an OverflowError
+        with pytest.raises(ParseError, match=bad_entry(v)):
+            parse_matrix([[1, 2], [3, v]])
+
+    def test_an_overflowing_literal_is_a_bad_entry(self):
+        with pytest.raises(ParseError, match=bad_entry(float("inf"))):
+            parse_matrix(loads("[[1e999]]"))
+
+    @pytest.mark.parametrize(
+        "obj,message",
+        [
+            ([[float("inf"), "x"]], bad_entry(float("inf"))),
+            ([["x", float("inf")]], bad_entry("x")),
+            ([[1, "x"], 2], bad_entry("x")),
+            ([[float("inf")], [2, 3]], bad_entry(float("inf"))),
+            ([[1], [2, float("inf")]], "^matrix rows have unequal lengths$"),
+        ],
+    )
+    def test_the_first_fault_in_reading_order_is_reported(self, obj, message):
+        with pytest.raises(ParseError, match=message):
+            parse_matrix(obj)
+
 
 class TestSequenceFile:
     def test_minimal(self):
@@ -106,6 +187,11 @@ class TestSequenceFile:
         with pytest.raises(ParseError):
             parse_sequence_file({"q": 1, "blocks": [[[1]]], "alpha": "x"})
 
+    @pytest.mark.parametrize("alpha", [10**400, float("inf"), True], ids=["huge_int", "inf", "true"])
+    def test_alpha_must_be_a_finite_number(self, alpha):
+        with pytest.raises(ParseError, match="^field 'alpha' must be a finite real number$"):
+            parse_sequence_file({"q": 1, "blocks": [[[1]]], "alpha": alpha})
+
 
 class TestSchurFile:
     def test_minimal(self):
@@ -135,13 +221,13 @@ class TestSchurFile:
 
 class TestRoundTrip:
     def test_matrix_json_form(self):
-        out = matrix_json(np.array([[1 + 2j]]))
-        assert out == [[[1.0, 2.0]]]
+        assert dumps(np.array([[1 + 2j]])) == "[[[1, 2]]]\n"
+        assert loads(dumps(np.array([[1 + 2j]]))) == [[[1.0, 2.0]]]
 
     def test_parse_serialize_exact(self):
         rng = np.random.default_rng(163)
         M = random_complex(rng, 3, 2)
-        back = parse_matrix(loads(dumps(matrix_json(M))))
+        back = parse_matrix(loads(dumps(M)))
         assert np.array_equal(back, M)
 
     def test_sequence_round_trip(self):
@@ -178,6 +264,9 @@ class TestDumps:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             dumps([float("nan")])
+        for value in (complex("nan"), complex(0, float("inf")), -float("inf")):
+            with pytest.raises(ValueError, match="^non-finite value in report$"):
+                dumps({"S": np.array([[1.0, 2.0], [3.0, value]])})
 
     def test_one_line_up_to_the_width(self):
         # '["' + 96 characters + '"]' is exactly 100 columns
@@ -200,3 +289,44 @@ class TestDumps:
         report = {"S": M, "kappa": (M[:1], M[1:])}
         expected = {"S": matrix_json(M), "kappa": [matrix_json(M[:1]), matrix_json(M[1:])]}
         assert dumps(report) == dumps(expected)
+
+    @pytest.mark.parametrize("depth", [0, 1, 21, 22, 30, 45])
+    @pytest.mark.parametrize(
+        "M",
+        [
+            np.array([[complex(-0.0, -0.0), complex(0.0, -0.0)]]),
+            np.array([[5e-324, 2.2250738585072014e-308 / 3], [-5e-324, 1e-310]]),
+            np.array([[1e308, -1e308j], [1.7976931348623157e308, -1.7976931348623157e308]]),
+            np.array([[1.0, -3.0], [2.0**53, 100.0]]),
+            np.array([[1, 2], [3, 4]]),
+            np.zeros((3, 0)),
+            np.zeros((0, 0)),
+            (np.arange(12).reshape(3, 4) * (0.1 - 0.3j)).T[::2],
+            np.full((2, 3), complex(-1.2345678901234567e-300, 9.876543210987654e300)),
+        ],
+        ids=["signed_zeros", "subnormal", "huge", "integral", "int_dtype", "no_columns",
+             "empty", "strided", "longest_pairs"],
+    )
+    def test_arrays_render_as_their_list_form(self, M, depth):
+        # the pairs start at column 2 * depth + 6: the longest pairs, of 51
+        # characters, fit at depth 21 and break from depth 22 on
+        obj, ref = M, matrix_json(M)
+        for _ in range(depth):
+            obj, ref = [obj], [ref]
+        assert dumps({"m": obj}) == dumps({"m": ref})
+
+    def test_arrays_render_as_their_list_form_on_both_sides_of_the_width(self):
+        # 1 x c matrices of d-digit integral entries at depth k: their lines
+        # run from far below to past column 100, at every depth's offset
+        widths = set()
+        for d in range(1, 17):
+            for c in range(1, 13):
+                M = np.full((1, c), float("9" * d))
+                for k in range(0, 48, 7):
+                    obj, ref = M, matrix_json(M)
+                    for _ in range(k):
+                        obj, ref = [obj], [ref]
+                    text = dumps(obj)
+                    assert text == dumps(ref)
+                    widths.update(len(line) for line in text.splitlines())
+        assert {99, 100, 101} <= widths

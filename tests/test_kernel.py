@@ -39,6 +39,8 @@ NON_FINITE = (
     [np.nan, 0.0, 1.0, 0.0, 1.0],
     [1.0, np.nan, 1.0, 0.0, 1.0],
     [1.0, 0.0, np.nan, 0.0, 1.0],
+    # q = 2: an inf in s_0, which Theta_1's pinv cannot factor
+    [np.diag([np.inf, 1.0]), np.zeros((2, 2)), np.eye(2)],
 )
 
 
@@ -52,6 +54,37 @@ def test_non_finite_sequences_are_not_extendable(s):
     assert not M.is_knnd(s, -0.5)
     if len(s) % 2:
         assert not M.is_hnnd(s)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("s", NON_FINITE)
+def test_non_finite_sequences_get_a_report(s):
+    # every Theta that reads a NaN or an inf is a NaN block, and the report
+    # says the sequence is neither nonnegative definite nor extendable
+    s = M.MomentSequence(s)
+    finite = [np.isfinite(s.stack[: j + 1]).all() for j in range(len(s))]
+    if len(s) % 2:
+        rep = M.classify_hamburger(s)
+        assert not rep.is_hnnd and not rep.is_hnnde
+        assert rep.R is None and rep.canonical is None
+        # theta is Theta_n, which reads s_0..s_{2n-1}
+        assert np.isnan(rep.theta).all() == (not finite[-2])
+        assert np.isfinite(rep.theta).all() == finite[-2]
+    rep = M.classify_stieltjes(s, -0.5)
+    assert not rep.is_knnd and not rep.is_knnde
+    assert rep.R is None and rep.canonical is None
+    # u_j for j >= 1 is a Theta of s or of the shift, reading s_0..s_j
+    for j, u in enumerate(rep.u[2:], start=1):
+        assert np.isnan(u).all() == (not finite[j])
+        assert np.isfinite(u).all() == finite[j]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_public_theta_still_raises_on_non_finite_blocks():
+    # the tower's NaN guard is not theta's: the direct route still runs pinv
+    s = [np.diag([np.inf, 1.0]), np.zeros((2, 2)), np.eye(2)]
+    with pytest.raises(M.NoConvergence):
+        M.theta(s, 1)
 
 
 def _infinite_off_diagonal(value):
