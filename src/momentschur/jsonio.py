@@ -136,7 +136,8 @@ def parse_sequence_file(obj):
         if not _is_real(alpha):
             raise ParseError("field 'alpha' must be a finite real number")
         alpha = float(alpha)
-    return MomentSequence(mats), alpha
+    # the blocks are checked: the sequence holds their one stack as it is
+    return object.__new__(MomentSequence)._hold(np.array(mats)), alpha
 
 
 def parse_schur_file(obj):

@@ -117,9 +117,23 @@ def _skew_within(skew: float, thr: float) -> bool:
     return skew <= thr and skew < np.inf
 
 
+def _norm_and_skew(M, Mh) -> tuple[float, float]:
+    """(||M||_F, ||M - M^H||_F) of a square M, given Mh = M^H.
+
+    When M holds a NaN or an inf, the second is NaN and M - M^H, which
+    would make numpy warn, is not formed: the Hermitian test fails such an
+    M either way.  Only a norm that is not finite sends M to that check.
+    """
+    norm = frobenius(M)
+    if norm < np.inf or np.isfinite(M).all():
+        return norm, frobenius(M - Mh)
+    return norm, np.nan
+
+
 def _hermitian(M, t: Tolerance) -> bool:
     """The Hermitian test of a square M, judged at threshold(||M||_F)."""
-    return _skew_within(frobenius(M - M.conj().T), t.threshold(frobenius(M)))
+    norm, skew = _norm_and_skew(M, M.conj().T)
+    return _skew_within(skew, t.threshold(norm))
 
 
 def _checked(M, t: Tolerance, message: str, error=NotHermitian, norms=None) -> tuple[Array, float]:
@@ -129,7 +143,7 @@ def _checked(M, t: Tolerance, message: str, error=NotHermitian, norms=None) -> t
     computed before.
     """
     Mh = M.conj().T
-    norm, skew = (frobenius(M), frobenius(M - Mh)) if norms is None else norms
+    norm, skew = _norm_and_skew(M, Mh) if norms is None else norms
     if not _skew_within(skew, t.threshold(norm)):
         raise error(message)
     return 0.5 * (M + Mh), norm
@@ -178,7 +192,10 @@ class _Spectrum:
 
     def __init__(self, M: Array):
         Mh = M.conj().T
-        self.H, self.norm, self.skew = 0.5 * (M + Mh), frobenius(M), frobenius(M - Mh)
+        self.norm, self.skew = _norm_and_skew(M, Mh)
+        # H is read only once M passes the Hermitian test, which a NaN or an
+        # inf never does; for them it is not formed
+        self.H = 0.5 * (M + Mh) if self.skew < np.inf else None
         self._eigh = None
 
     def _band(self, scale, t: Tolerance) -> tuple[Array, Array]:

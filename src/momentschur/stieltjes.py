@@ -40,7 +40,13 @@ def alpha_shift(s, alpha: float) -> MomentSequence:
     s = MomentSequence.coerce(s)
     if len(s) < 2:
         raise TooShort("alpha_shift needs at least two blocks")
-    return MomentSequence(-alpha * s.stack[:-1] + s.stack[1:])
+    shifted = -alpha * s.stack[:-1] + s.stack[1:]
+    if shifted.shape != s.stack[1:].shape:
+        # an array alpha broadcast the blocks to another shape: the
+        # constructor checks what came out
+        return MomentSequence(shifted)
+    # complex128 whatever the type of alpha, as the blocks of s are
+    return object.__new__(MomentSequence)._hold(shifted.astype(complex, copy=False))
 
 
 def is_knnd(s, alpha: float, tol=None) -> bool:
@@ -98,8 +104,7 @@ def r_upper_stieltjes(s, alpha: float, m: int, tol=None) -> Array:
 
 def canonical_rep_stieltjes(s, alpha: float, tol=None) -> MomentSequence:
     """The sequence with its last block replaced by R_m (class representative)."""
-    tower = Tower.of(s, tol, alpha)
-    return tower.s.with_last(tower.r(tower.top()))
+    return Tower.of(s, tol, alpha).canonical()
 
 
 def in_extension_interval_stieltjes(
@@ -130,8 +135,8 @@ def classify_stieltjes(s, alpha: float, tol=None) -> StieltjesReport:
         alpha=float(alpha),
         is_knnd=tower.nnd(m),
         is_knnde=tower.nnde(m),
-        kappa=tuple(tower.kappa(j) for j in range(m + 1)),
-        u=tuple(tower.u(j) for j in range(-1, m)),
+        kappa=tuple(tower.kappa_stack.copy()),
+        u=tuple(tower.u_stack.copy()),
         R=R,
-        canonical=s.with_last(R) if R is not None else None,
+        canonical=tower.canonical() if R is not None else None,
     )

@@ -121,20 +121,56 @@ def test_writes_into_answers_do_not_reach_the_next_answer(alpha, length):
         assert fingerprint(outcome(call, s)) == fingerprint(outcome(call, fresh(s))), name
 
 
+def _write_into_the_canonical_stack(rep):
+    rep.canonical.stack.flags.writeable = True
+    rep.canonical.stack[...] = 99
+
+
 def test_report_fields_are_writable_copies():
     s = measure(7, 2, 5, None)
     M.classify_hamburger(s).theta[:] = 99
     M.classify_hamburger(s).L[:] = 99
+    M.classify_hamburger(s).L_prev[:] = 99
+    _write_into_the_canonical_stack(M.classify_hamburger(s))
     M.u_lower(s, 0.5, 3)[:] = 99
     rep = M.classify_stieltjes(s, 0.5)
     rep.R[:] = 99
     rep.u[3][:] = 99
     rep.kappa[2][:] = 99
+    rep.kappa[0][:] = 99
+    _write_into_the_canonical_stack(rep)
     M.l_matrix(s, 2)[:] = 99
     s2 = fresh(s)
     assert fingerprint(M.classify_hamburger(s)) == fingerprint(M.classify_hamburger(s2))
     assert fingerprint(M.classify_stieltjes(s, 0.5)) == fingerprint(M.classify_stieltjes(s2, 0.5))
     assert fingerprint(M.u_lower(s, 0.5, 3)) == fingerprint(M.u_lower(s2, 0.5, 3))
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        measure(31, 2, 6, 0.5).blocks,
+        [1.0, 2.0, 1.0, 0.0, 1.0, 2.0],  # H_1 is not PSD: R is None
+        [1.0, 0.5, np.nan, 0.0, 1.0],
+    ],
+    ids=["measure", "not_nnd", "nan"],
+)
+def test_report_stacks_hold_the_per_level_answers(blocks):
+    """Each row of a report's kappa and u is, bit for bit, the per-level answer."""
+    s = M.MomentSequence(blocks)
+    for _ in range(2):  # the first report builds the held stacks, the second copies them
+        rep = M.classify_stieltjes(s, 0.5)
+        assert len(rep.kappa) == len(rep.u) == len(s)
+        for j in range(len(s)):
+            assert fingerprint(rep.kappa[j]) == fingerprint(M.kappa(fresh(s), 0.5, j)), j
+            assert fingerprint(rep.u[j]) == fingerprint(M.u_lower(fresh(s), 0.5, j - 1)), j
+    hamburger_s = s.prefix(len(s) - 1 + len(s) % 2)
+    n = hamburger_s.kappa // 2
+    for _ in range(2):
+        rep = M.classify_hamburger(hamburger_s)
+        assert fingerprint(rep.theta) == fingerprint(M.u_lower(fresh(hamburger_s), 0.5, 2 * n - 1))
+        assert fingerprint(rep.L) == fingerprint(M.l_matrix(fresh(hamburger_s), n))
+        assert fingerprint(rep.L_prev) == fingerprint(M.l_matrix(fresh(hamburger_s), n - 1))
 
 
 @pytest.mark.parametrize("plus", [0.0, float("nan")])
@@ -310,7 +346,6 @@ def test_r_upper_raises_before_any_comparison():
         assert not M.in_extension_interval(s, below, "given_s2n")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("alpha", [None, -0.5])
 def test_class_tests_against_near_and_non_finite_prefixes(alpha):
     """A prefix that differs from s's by noise below the threshold passes

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_complex
 
-from momentschur import ParseError
+from momentschur import MomentSequence, ParseError
 from momentschur.jsonio import (
     dumps,
     loads,
@@ -163,6 +163,18 @@ class TestSequenceFile:
     def test_alpha_carried(self):
         s, alpha = parse_sequence_file({"q": 1, "blocks": [[[1]], [[1]]], "alpha": 2})
         assert alpha == 2.0
+
+    def test_the_parsed_blocks_are_held_as_one_stack(self, monkeypatch):
+        # the parser checks each block once; the sequence takes their stack
+        # without checking or copying them again
+        blocks = [[[1, [0, 2]], [[0, -2], 3]], [[0.5, 0], [0, 0.5]]]
+        expected = MomentSequence([entrywise(b) for b in blocks])
+        monkeypatch.setattr(MomentSequence, "__init__", None)
+        s, _ = parse_sequence_file({"q": 2, "blocks": blocks})
+        assert s.stack.dtype == complex and s.stack.shape == (2, 2, 2)
+        assert not s.stack.flags.writeable
+        assert s.stack.tobytes() == expected.stack.tobytes()
+        assert [b.tobytes() for b in s.blocks] == [b.tobytes() for b in expected.blocks]
 
     def test_must_be_an_object(self):
         with pytest.raises(ParseError, match="^a sequence file must be a JSON object$"):

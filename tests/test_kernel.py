@@ -2,6 +2,7 @@
 and call, one LAPACK error path."""
 
 from collections import Counter
+import warnings
 
 import numpy as np
 import pytest
@@ -44,7 +45,6 @@ NON_FINITE = (
 )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("s", NON_FINITE)
 def test_non_finite_sequences_are_not_extendable(s):
     # NaN fails the Hermitian test wherever it is made, so the extendability
@@ -56,6 +56,8 @@ def test_non_finite_sequences_are_not_extendable(s):
         assert not M.is_hnnd(s)
 
 
+# alpha_shift multiplies s6's inf by the complex -alpha, whose imaginary 0
+# makes a NaN, and numpy warns
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("s", NON_FINITE)
 def test_non_finite_sequences_get_a_report(s):
@@ -79,7 +81,27 @@ def test_non_finite_sequences_get_a_report(s):
         assert np.isfinite(u).all() == finite[j]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_blocks_answer_without_a_warning():
+    # the block norms and the Hermitian test say NaN or False for a NaN or
+    # an inf without forming M - M^H, where numpy would warn about inf - inf
+    D = np.diag([np.inf, 1.0])
+    inf_first = [D, np.zeros((2, 2)), np.eye(2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(M.MomentSequence(inf_first).norms[0]).all()
+        assert not M.classify_hamburger(inf_first).is_hnnd
+        assert not M.is_hnnd(inf_first)
+        report = M.classify_stieltjes([1.0, 0.0, np.inf], -0.5)
+        assert not psd_verdict(D)
+        with pytest.raises(M.NotHermitian, match="candidate last block must be Hermitian"):
+            M.in_extension_interval([np.eye(2), np.zeros((2, 2)), 2 * np.eye(2)], D)
+        with pytest.raises(M.NotHermitian, match="Loewner comparison requires Hermitian matrices"):
+            loewner_leq(D, np.eye(2))
+        with pytest.raises(M.NotPSD, match="not Hermitian"):
+            M.schur_complement(D, M.Subspace.zero(2))
+    assert not report.is_knnd and not report.is_knnde and report.R is None
+
+
 def test_public_theta_still_raises_on_non_finite_blocks():
     # the tower's NaN guard is not theta's: the direct route still runs pinv
     s = [np.diag([np.inf, 1.0]), np.zeros((2, 2)), np.eye(2)]
@@ -93,7 +115,6 @@ def _infinite_off_diagonal(value):
     return A
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.inf, -np.inf, complex(0, np.inf)])
 def test_an_infinite_off_diagonal_entry_fails_the_hermitian_test(value):
     # ||A - A^H||_F and ||A||_F are both inf there; inf <= inf must not pass
@@ -119,7 +140,6 @@ def test_an_infinite_off_diagonal_entry_fails_the_hermitian_test(value):
     ],
     ids=["pinv", "numerical_rank", "subspace_from_columns", "pinv_inf", "subspace_inf"],
 )
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_lapack_failure_raises_no_convergence(call):
     with pytest.raises(M.NoConvergence, match="did not converge"):
         call()
@@ -155,7 +175,6 @@ def _norm_cases():
     }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", list(_norm_cases()))
 def test_frobenius_is_numpys_norm_bit_for_bit(name):
     A = _norm_cases()[name]
@@ -464,6 +483,37 @@ def test_a_warm_interval_test_makes_only_its_eigenvalue_tests(factorizations, mo
     assert built["u"] == built["r"] == 0
 
 
+@pytest.mark.parametrize("alpha", [None, 0.5])
+def test_a_warm_report_copies_what_the_tower_holds(factorizations, monkeypatch, alpha):
+    # once a report has been made, the next one copies the held slack and
+    # lower-end stacks, R_m and the sequence's own stack: no level is
+    # rebuilt, no block re-validated and no matrix factorized
+    s = _four_atom_sequence()
+    if alpha is None:
+        s = s.prefix(9)
+        calls = (lambda x: M.classify_hamburger(x), lambda x: M.canonical_rep(x))
+    else:
+        calls = (lambda x: M.classify_stieltjes(x, alpha), lambda x: M.canonical_rep_stieltjes(x, alpha))
+    for call in calls:
+        call(s)
+    built = Counter()
+    for cls, name in ((Tower, "kappa"), (Tower, "u"), (M.MomentSequence, "__init__")):
+        def counted(*args, _name=name, _real=getattr(cls, name)):
+            built[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    factorizations.clear()
+    for call in calls:
+        call(s)
+    assert not built and not factorizations
+    # the counters see the work of a fresh sequence
+    fresh = M.MomentSequence(list(s))
+    for call in calls:
+        call(fresh)
+    assert built["kappa"] and built["u"] and built["__init__"]
+
+
 def _reference_disjoint(tower, last):
     """The class test's third verdict by the reference rank-sum formula."""
     t, m = tower.t, tower.top()
@@ -533,7 +583,6 @@ def test_unique_split_matches_the_reference_rank_sum():
     assert verdicts[True] > 50 and verdicts[False] > 50, verdicts
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("A", [[[np.nan, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]]], ids=["nan", "skew"])
 def test_a_clip_factorizes_only_a_hermitian_matrix(factorizations, A):
     with pytest.raises(M.NotHermitian, match="^matrix is not Hermitian within the working-scale tolerance$"):

@@ -53,6 +53,22 @@ class TestAlphaShift:
         with pytest.raises(TooShort):
             alpha_shift([1], 0.0)
 
+    @pytest.mark.parametrize(
+        "alpha", [0.5, 1, True, np.float32(0.5), np.longdouble(0.5), 0.5 + 0j, np.array(0.5)]
+    )
+    def test_a_shift_is_a_complex128_stack_for_every_alpha_type(self, alpha):
+        s = stieltjes_measure_sequence(np.random.default_rng(3), 0.5, 2, 4)
+        shifted = alpha_shift(s, alpha)
+        expected = MomentSequence([-alpha * s[j] + s[j + 1] for j in range(3)])
+        assert shifted.stack.dtype == complex and not shifted.stack.flags.writeable
+        assert shifted.stack.tobytes() == expected.stack.tobytes()
+
+    def test_an_alpha_that_reshapes_the_blocks_is_refused(self):
+        with pytest.raises(DimensionMismatch):
+            alpha_shift([1, 2, 5], np.full((1, 1, 1, 1), 0.5))
+        with pytest.raises(ShapeMismatch):
+            alpha_shift([1, 2, 5], np.full((1, 1, 2), 0.5))
+
 
 class TestIsKnnd:
     def test_scalar_verdicts(self):
