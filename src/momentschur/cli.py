@@ -129,9 +129,10 @@ def cmd_interval(args) -> dict:
     T = parse_matrix(_read_json(args.last), scalar_ok=True)
     tower = Tower(seq, t, alpha)
     bound = tower.given if args.bound == "given" else "r_upper"
-    lower, upper, member = tower.interval(T, bound)
-    return _report("interval", t, q=seq.q, alpha=alpha, bound=args.bound,
-                   lower=lower, upper=upper, member=member)
+    member = tower.member(T, bound)
+    m = seq.kappa
+    return _report("interval", t, q=seq.q, alpha=alpha, bound=args.bound, lower=tower.u(m - 1),
+                   upper=seq[m] if bound == tower.given else tower.r(m), member=member)
 
 
 def cmd_class_test(args) -> dict:

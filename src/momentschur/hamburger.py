@@ -41,6 +41,7 @@ from .linalg import (
     Tolerance,
     _Spectrum,
     _checked,
+    _loewner_between,
     _loewner_leq,
     _rank_sum_holds,
     as_matrix,
@@ -59,8 +60,8 @@ class MomentSequence:
 
     Blocks are stored as read-only complex arrays; scalar entries are accepted
     and become 1x1 blocks, so ``MomentSequence([1, 0, 1])`` works as expected.
-    ``stack`` holds them as one read-only (kappa+1, q, q) array and the blocks
-    are its slices; ``norms`` holds each block's norms, computed once, when
+    ``stack`` holds them as one read-only (kappa+1, q, q) array; ``blocks``
+    holds its slices, and ``norms`` each block's norms, each made once, when
     first needed.  Its blocks never change.  It also holds one ``Tower``, with
     its key: that of the last (tolerance, alpha) a public function asked it
     about (see ``Tower.of``), so that further questions under the same pair
@@ -69,7 +70,7 @@ class MomentSequence:
     bytes (Hamburger) or 5.5 times (Stieltjes, which adds the shift).
     """
 
-    __slots__ = ("stack", "blocks", "_norms", "_held")
+    __slots__ = ("stack", "_blocks", "_norms", "_held")
 
     def __init__(self, blocks):
         mats = []
@@ -87,8 +88,15 @@ class MomentSequence:
     def _hold(self, stack: Array) -> "MomentSequence":
         # stack holds validated blocks: no one else may write to it
         stack.flags.writeable = False
-        self.stack, self.blocks, self._norms, self._held = stack, tuple(stack), None, None
+        self.stack, self._blocks, self._norms, self._held = stack, None, None, None
         return self
+
+    @property
+    def blocks(self) -> tuple[Array, ...]:
+        """The blocks, as views of ``stack``: the same view of s_j on every call."""
+        if self._blocks is None:
+            self._blocks = tuple(self.stack)
+        return self._blocks
 
     @classmethod
     def coerce(cls, s) -> "MomentSequence":
@@ -101,20 +109,20 @@ class MomentSequence:
             # a block holding a NaN or an inf gets NaN norms, without arithmetic
             nan, finite = (np.nan, np.nan), np.isfinite(self.stack).all(axis=(1, 2))
             self._norms = tuple((frobenius(b), frobenius(b - b.conj().T)) if ok else nan
-                                for b, ok in zip(self.blocks, finite))
+                                for b, ok in zip(self.stack, finite))
         return self._norms
 
     @property
     def q(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.stack.shape[1]
 
     @property
     def kappa(self) -> int:
         """Largest block index (length - 1)."""
-        return len(self.blocks) - 1
+        return len(self.stack) - 1
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self.stack)
 
     def __iter__(self):
         return iter(self.blocks)
@@ -370,7 +378,10 @@ class Tower:
     @cached_property
     def u_stack(self) -> Array:
         """u_{j-1} for each slack index j a report shows, as one read-only stack."""
-        return _frozen(np.array([self.u(j - 1) for j in self._report_levels()]))
+        # alpha s_{2k} on an inf block leaves a NaN, as in the shift: quiet,
+        # once per stack rather than once per level
+        with np.errstate(invalid="ignore"):
+            return _frozen(np.array([self.u(j - 1) for j in self._report_levels()]))
 
     def canonical(self) -> MomentSequence:
         """The sequence with its last block replaced by R_m, in a stack of its own."""
@@ -457,7 +468,9 @@ class Tower:
         """Is t_last in the admissible interval for the last block: lower <= t_last <= upper?
 
         lower is u_{m-1}; upper is s_m for ``bound == self.given`` and R_m for
-        "r_upper".  The comparisons read the ends ``_end`` holds.
+        "r_upper".  Both comparisons read the ends ``_end`` holds and take
+        one ``eigvalsh`` of the two differences, stacked.  An upper end that
+        fails its Hermitian test raises only once lower <= t_last holds.
         """
         t = self.t
         m = self.top()
@@ -473,15 +486,13 @@ class Tower:
             self._r(m)
         elif bound != self.given:
             raise ValueError(f"bound must be '{self.given}' or 'r_upper'")
-        return _loewner_leq(self._end("lower"), checked, t) and _loewner_leq(
-            checked, self._end(bound), t
-        )
-
-    def interval(self, t_last, bound: str) -> tuple[Array, Array, bool]:
-        """(lower, upper, member) of the admissible interval for the last block (see ``member``)."""
-        member = self.member(t_last, bound)
-        m = self.s.kappa
-        return self.u(m - 1), (self.s[m] if bound == self.given else self.r(m)), member
+        lower = self._end("lower")
+        try:
+            return _loewner_between(lower, checked, self._end(bound), t)
+        except NotHermitian:
+            # an upper end that fails its check raises (again) only once the
+            # lower comparison holds, as when the comparisons ran in turn
+            return _loewner_leq(lower, checked, t) and self._end(bound)
 
     def _end(self, name: str) -> tuple[Array, float]:
         """``_checked``'s (Hermitian part, norm) of the interval end ``name``, built once.
@@ -491,12 +502,10 @@ class Tower:
         """
         if name not in self._ends:
             m = self.s.kappa
-            if name == "lower":
-                end, norms = self.u(m - 1), None
-            elif name == self.given:
+            if name == self.given:
                 end, norms = self.s[m], self.s.norms[m]
             else:
-                end, norms = self._r(m), None
+                end, norms = self.u(m - 1) if name == "lower" else self._r(m), None
             message = "Loewner comparison requires Hermitian matrices"
             H, norm = _checked(end, self.t, message, norms=norms)
             self._ends[name] = _frozen(H), norm
@@ -542,8 +551,8 @@ class Tower:
             difference_psd, rank_d = False, numerical_rank(D, t)
         k_prev = self._spectrum(m - self.step)
         rank_k = k_prev.rank(scale, t)
-        # _rank_sum_holds' shortcuts, read from the counts; a clip is rebuilt
-        # only for the SVD of [D K]
+        # _rank_sum_holds' shortcuts, read from the counts of one eigvalsh; a
+        # clip is rebuilt, from one eigh, only for the SVD of [D K]
         if (difference_psd and not rank_d) or not rank_k:
             disjoint = True
         elif rank_d + rank_k > s.q:

@@ -163,13 +163,6 @@ def sequence_json(s: MomentSequence, alpha=None) -> dict:
 _INLINE_WIDTH = 100
 
 
-def _fmt_float(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("non-finite value in report")
-    return "%.17g" % x
-
-
 def _layout(items, indent: int, opening: str = "[", closing: str = "]") -> str:
     """The one layout rule, for the rendered ``items`` of a container at column ``indent``.
 
@@ -221,7 +214,9 @@ def _render(obj, indent: int) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fmt_float(obj)
+        if not math.isfinite(obj):
+            raise ValueError("non-finite value in report")
+        return "%.17g" % obj
     if isinstance(obj, np.ndarray):
         return _matrix(obj, indent)
     if isinstance(obj, dict):

@@ -183,12 +183,17 @@ def _psd_root(w, U, t: Tolerance) -> Array:
 
 
 class _Spectrum:
-    """A square M's Hermitian part H, its (||M||_F, ||M - M^H||_F), and eigh(H) once needed.
+    """A square M's Hermitian part H, its (||M||_F, ||M - M^H||_F), and its spectrum once needed.
 
-    One record serves every scale M is clipped at, and its range and rank at each.
+    One record serves every scale M is clipped at, and its range and rank at
+    each.  A rank needs the eigenvalues alone, which one ``eigvalsh`` gives;
+    a clip or a range needs the eigenvectors too, which one ``eigh`` gives.
+    The eigenvalues a record holds first stay its eigenvalues: an ``eigh``
+    made after an ``eigvalsh`` adds its vectors only, so that a rank counted
+    before a clip is the rank of that clip.
     """
 
-    __slots__ = ("H", "norm", "skew", "_eigh")
+    __slots__ = ("H", "norm", "skew", "_w", "_U")
 
     def __init__(self, M: Array):
         Mh = M.conj().T
@@ -196,10 +201,10 @@ class _Spectrum:
         # H is read only once M passes the Hermitian test, which a NaN or an
         # inf never does; for them it is not formed
         self.H = 0.5 * (M + Mh) if self.skew < np.inf else None
-        self._eigh = None
+        self._w = self._U = None
 
-    def _band(self, scale, t: Tolerance) -> tuple[Array, Array]:
-        """(w, U): eigh of M with the eigenvalue noise at working scale ``scale`` set to 0.
+    def _band(self, scale, t: Tolerance, vectors: bool = True) -> tuple[Array, Array | None]:
+        """(w, U): M's eigenvalues with their noise at ``scale`` set to 0, and its eigenvectors.
 
         ``scale`` is the working scale of the computation that produced M: a
         difference of quantities of that size carries rounding noise
@@ -207,14 +212,16 @@ class _Spectrum:
         all take this one step.  The Hermitian test and the eigenvalue band
         are judged at threshold(max(scale, ||M||_F)).  M is factorized only
         once it passes the test, so a NaN or a non-Hermitian M raises
-        NotHermitian; one below the band raises NotPSD after it.
+        NotHermitian; one below the band raises NotPSD after it.  U is None
+        while only eigenvalues were asked for (``vectors`` False).
         """
         thr = t.threshold(max(scale, self.norm))
         if not _skew_within(self.skew, thr):
             raise NotHermitian("matrix is not Hermitian within the working-scale tolerance")
-        if self._eigh is None:
-            self._eigh = _lapack("eigh", self.H)
-        return _flatten_band(self._eigh[0], thr), self._eigh[1]
+        if self._w is None or (vectors and self._U is None):
+            w, self._U = _lapack("eigh", self.H) if vectors else (_lapack("eigvalsh", self.H), None)
+            self._w = w if self._w is None else self._w
+        return _flatten_band(self._w, thr), self._U
 
     def clip(self, scale, t: Tolerance) -> Array:
         """M with its eigenvalue noise at working scale ``scale`` set to 0."""
@@ -222,14 +229,14 @@ class _Spectrum:
 
     def rank(self, scale, t: Tolerance) -> int:
         """The clip's rank at working scale ``scale``: its nonzero eigenvalues' count."""
-        return int(np.count_nonzero(self._band(scale, t)[0]))
+        return int(np.count_nonzero(self._band(scale, t, vectors=False)[0]))
 
     def unbanded_rank(self, t: Tolerance) -> int:
         """``numerical_rank``'s rule on the eigenvalues: the count of |w| above threshold(max |w|).
 
-        For a record whose band raised NotPSD, which has made its eigh.
+        For a record whose band raised NotPSD, which holds its eigenvalues.
         """
-        return int(np.count_nonzero(_pinv_rule(t)(np.abs(self._eigh[0]))))
+        return int(np.count_nonzero(_pinv_rule(t)(np.abs(self._w))))
 
     def range(self, scale, t: Tolerance) -> "Subspace":
         """ran M at working scale ``scale``: the eigenvectors outside the band."""
@@ -412,6 +419,21 @@ def _loewner_leq(a, b, t: Tolerance) -> bool:
     """A <= B, given ``_checked``'s (Hermitian part, norm) pairs of A and B."""
     # a difference of two exactly Hermitian matrices is exactly Hermitian
     return _psd_floor(_lapack("eigvalsh", b[0] - a[0]), t, max(a[1], b[1]))
+
+
+def _loewner_between(a, x, b, t: Tolerance) -> bool:
+    """A <= X <= B, given ``_checked``'s pairs, by one ``eigvalsh`` of X - A and B - X stacked.
+
+    Each difference is floored at its own operands' scale, as ``_loewner_leq``
+    floors it, and its eigenvalues are those ``_loewner_leq`` would compute.
+    """
+    # one empty stack and two subtractions into it: np.stack would cost as
+    # much as the second eigvalsh call it saves
+    D = np.empty((2,) + x[0].shape, dtype=complex)
+    np.subtract(x[0], a[0], out=D[0])
+    np.subtract(b[0], x[0], out=D[1])
+    w = _lapack("eigvalsh", D)
+    return _psd_floor(w[0], t, max(a[1], x[1])) and _psd_floor(w[1], t, max(x[1], b[1]))
 
 
 def range_included(B, A, tol=None) -> bool:

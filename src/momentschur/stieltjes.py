@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import IndexOutOfRange, TooShort
 from .hamburger import MomentSequence, Tower
 from .linalg import Array, as_tolerance
@@ -40,7 +42,10 @@ def alpha_shift(s, alpha: float) -> MomentSequence:
     s = MomentSequence.coerce(s)
     if len(s) < 2:
         raise TooShort("alpha_shift needs at least two blocks")
-    shifted = -alpha * s.stack[:-1] + s.stack[1:]
+    # an inf block times the complex -alpha + 0j leaves a NaN imaginary part,
+    # which numpy warns about; the product keeps its bits either way
+    with np.errstate(invalid="ignore"):
+        shifted = -alpha * s.stack[:-1] + s.stack[1:]
     if shifted.shape != s.stack[1:].shape:
         # an array alpha broadcast the blocks to another shape: the
         # constructor checks what came out

@@ -56,9 +56,6 @@ def test_non_finite_sequences_are_not_extendable(s):
         assert not M.is_hnnd(s)
 
 
-# alpha_shift multiplies s6's inf by the complex -alpha, whose imaginary 0
-# makes a NaN, and numpy warns
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("s", NON_FINITE)
 def test_non_finite_sequences_get_a_report(s):
     # every Theta that reads a NaN or an inf is a NaN block, and the report
@@ -394,9 +391,9 @@ def test_a_unique_split_at_a_trivial_subspace_needs_at_most_the_rank_of_y(factor
 @pytest.mark.parametrize("alpha", [None, 0.5])
 def test_a_class_test_above_the_block_scale_reuses_the_slack_spectrum(factorizations, alpha):
     # r_m = 3 R + 10 I lifts the scale of the class test above the block
-    # scale; kappa_{m-step} is clipped there from its held eigendecomposition.
+    # scale; kappa_{m-step} is ranked there from its held eigendecomposition.
     # r_m - R_m = 2 R + 10 I has rank 2 = q, so with kappa_{m-step} != 0 the
-    # rank sum exceeds q and no SVD is needed
+    # rank sum exceeds q: its eigenvalues alone decide, and no SVD is needed
     s = _four_atom_sequence()
     if alpha is None:
         s = s.prefix(9)
@@ -409,13 +406,13 @@ def test_a_class_test_above_the_block_scale_reuses_the_slack_spectrum(factorizat
         M.same_class(s, r)
     else:
         M.same_class_stieltjes(s, r, alpha)
-    assert factorizations == Counter(eigh=1)
+    assert factorizations == Counter(eigvalsh=1)
 
 
 @pytest.mark.parametrize("alpha", [None, 0.5])
-def test_a_class_test_against_the_canonical_representative_makes_one_eigh(factorizations, alpha):
-    # r_m - R_m = 0 exactly: one eigh clips it, and a zero difference meets
-    # every range only in 0 without an SVD
+def test_a_class_test_against_the_canonical_representative_makes_one_eigvalsh(factorizations, alpha):
+    # r_m - R_m = 0 exactly: its eigenvalues say its clip is zero, and a zero
+    # difference meets every range only in 0 without an eigh or an SVD
     s = _four_atom_sequence()
     if alpha is None:
         s = s.prefix(9)
@@ -427,14 +424,14 @@ def test_a_class_test_against_the_canonical_representative_makes_one_eigh(factor
         assert M.same_class(s, report.canonical)
     else:
         assert M.same_class_stieltjes(s, report.canonical, alpha)
-    assert factorizations == Counter(eigh=1)
+    assert factorizations == Counter(eigvalsh=1)
 
 
 @pytest.mark.parametrize("alpha", [None, 0.5])
-def test_a_class_test_whose_difference_fails_the_band_makes_one_eigh(factorizations, alpha):
+def test_a_class_test_whose_difference_fails_the_band_makes_one_eigvalsh(factorizations, alpha):
     # r_m - R_m = -1e-3 I fails the band with NotPSD; its rank, q = 2, is read
-    # from the eigh the band made, and with kappa_{m-step} != 0 the rank sum
-    # exceeds q, so no SVD is needed
+    # from the eigenvalues the band took, and with kappa_{m-step} != 0 the
+    # rank sum exceeds q, so no eigh or SVD is needed
     s = _four_atom_sequence()
     if alpha is None:
         s = s.prefix(9)
@@ -447,13 +444,31 @@ def test_a_class_test_whose_difference_fails_the_band_makes_one_eigh(factorizati
         assert not M.same_class(s, r)
     else:
         assert not M.same_class_stieltjes(s, r, alpha)
-    assert factorizations == Counter(eigh=1)
+    assert factorizations == Counter(eigvalsh=1)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5])
+def test_a_class_test_that_needs_the_rank_sum_svd_rebuilds_one_clip(factorizations, alpha):
+    # one atom with a rank-one weight: kappa_{m-step} has rank 1, and
+    # r_m - R_m = 1e-3 u u^H too, so the rank sum 2 = q leaves the SVD of
+    # [D K] to decide; D is the clip rebuilt from one eigh, whose rank is
+    # the one the eigenvalues counted
+    v, u = np.array([[1.0], [1j]]), np.array([[1.0], [0.5]])
+    s = measure_moments([0.7], [v @ v.conj().T], 3)
+    extra = () if alpha is None else (alpha,)
+    same = M.same_class if alpha is None else M.same_class_stieltjes
+    R = M.r_upper(s, 1) if alpha is None else M.r_upper_stieltjes(s, alpha, 2)
+    for w, disjoint in ((u, True), (v, False)):
+        r = s.with_last(R + 1e-3 * w @ w.conj().T)
+        factorizations.clear()
+        assert same(s, r, *extra) == disjoint
+        assert factorizations == Counter(eigvalsh=1, eigh=1, svd=1)
 
 
 @pytest.mark.parametrize("alpha", [None, 0.5])
 def test_a_warm_interval_test_makes_only_its_eigenvalue_tests(factorizations, monkeypatch, alpha):
-    # once a bound's ends are held, a question makes at most its two Loewner
-    # comparisons, and neither rebuilds u_{m-1} nor R_m
+    # once a bound's ends are held, a question makes its two Loewner
+    # comparisons in one stacked eigvalsh, and rebuilds neither u_{m-1} nor R_m
     s = _four_atom_sequence()
     if alpha is None:
         s = s.prefix(9)
@@ -479,8 +494,57 @@ def test_a_warm_interval_test_makes_only_its_eigenvalue_tests(factorizations, mo
         for T in candidates:
             factorizations.clear()
             interval(T, bound)
-            assert set(factorizations) <= {"eigvalsh"} and factorizations["eigvalsh"] <= 2
+            assert factorizations == Counter(eigvalsh=1)
     assert built["u"] == built["r"] == 0
+
+
+def _interval_cases():
+    """(sequence, alpha) pairs, both problems, rank-deficient and full-rank, some not extendable."""
+    rng = np.random.default_rng(43)
+    for q in (1, 2, 3):
+        for length in (3, 5, 6):
+            if length % 2:
+                yield hamburger_measure_sequence(rng, q, length), None
+                yield hamburger_measure_sequence(rng, q, length, max_rank=1), None
+            alpha = float(rng.choice([-1.0, 0.5]))
+            yield stieltjes_measure_sequence(rng, alpha, q, length), alpha
+            yield stieltjes_measure_sequence(rng, alpha, q, length, max_rank=1), alpha
+        yield nonextendable_hamburger(rng, q, 2), None
+        yield nonextendable_stieltjes(rng, 0.5, q, 4), 0.5
+
+
+def test_the_stacked_interval_verdict_is_the_two_loewner_comparisons():
+    # at, just inside and just outside each end, by 1e-11 and 1e-9 of the
+    # block scale (the tolerance lies between), along I and a rank-one
+    # direction, and far below the lower end; the stacked eigvalsh says
+    # what two separate loewner_leq calls say
+    rng = np.random.default_rng(47)
+    checked = Counter()
+    for s, alpha in _interval_cases():
+        m = s.kappa
+        if alpha is None:
+            lower, R, given = M.theta(s, m // 2), M.r_upper(s, m // 2), "given_s2n"
+            member = M.in_extension_interval
+        else:
+            lower, R, given = M.u_lower(s, alpha, m - 1), M.r_upper_stieltjes(s, alpha, m), "given_sm"
+            member = lambda s, T, bound: M.in_extension_interval_stieltjes(s, alpha, T, bound)
+        scale = max(np.linalg.norm(b) for b in s)
+        v = random_complex(rng, s.q, 1)
+        directions = (np.eye(s.q), v @ v.conj().T / np.linalg.norm(v) ** 2)
+        for bound, upper in ((given, s[m]), ("r_upper", R)):
+            candidates = [lower - scale * np.eye(s.q), 0.5 * (lower + upper)]
+            for end in (lower, upper):
+                candidates.append(end)
+                for P in directions:
+                    for delta in (1e-11, -1e-11, 1e-9, -1e-9):
+                        candidates.append(end + delta * scale * P)
+            for T in candidates:
+                T = 0.5 * (T + T.conj().T)
+                expected = loewner_leq(lower, T) and loewner_leq(T, upper)
+                assert member(s, T, bound) == expected
+                checked[bound == given, expected] += 1
+    # every bound answers both ways, many times
+    assert min(checked.values()) > 100 and len(checked) == 4, checked
 
 
 @pytest.mark.parametrize("alpha", [None, 0.5])

@@ -211,7 +211,8 @@ def work(monkeypatch):
 @pytest.mark.parametrize("alpha", [None, ALPHA])
 def test_an_interval_question_pays_for_its_candidate_alone(work, alpha):
     """On a classified sequence whose interval ends were checked, a question
-    checks its candidate once and makes one or two Loewner comparisons."""
+    checks its candidate once and makes its two Loewner comparisons in one
+    eigvalsh call."""
     s = _measure(12, alpha)
     extra = () if alpha is None else (alpha,)
     if alpha is None:
@@ -226,15 +227,15 @@ def test_an_interval_question_pays_for_its_candidate_alone(work, alpha):
         for bound in (given, "r_upper"):
             work.clear()
             interval(s, *extra, T, bound)
-            assert work["hermitian"] == 1 and 1 <= work["eigvalsh"] <= 2
+            assert work["hermitian"] == 1 and work["eigvalsh"] == 1
             assert set(work) <= {"hermitian", "eigvalsh"}, work
 
 
 @pytest.mark.parametrize("alpha", [None, ALPHA])
 def test_a_class_test_reuses_the_clip_of_the_previous_slack(work, alpha):
     """Against an r with s's own prefix and ||r_m||_F within the block
-    scale, a class test clips r_m - R_m alone: kappa_{m-step} was clipped at
-    that scale for R_m."""
+    scale, a class test takes the eigenvalues of r_m - R_m alone:
+    kappa_{m-step} was factorized at that scale for R_m."""
     s = _measure(14, alpha)
     extra = () if alpha is None else (alpha,)
     canonical_rep, same = (
@@ -246,7 +247,7 @@ def test_a_class_test_reuses_the_clip_of_the_previous_slack(work, alpha):
         assert np.linalg.norm(r[r.kappa]) <= max(np.linalg.norm(b) for b in s)
         work.clear()
         assert same(s, r, *extra)
-        assert work["eigh"] == 1
+        assert work["eigvalsh"] == 1 and not work["eigh"]
 
 
 @pytest.mark.parametrize("alpha", [None, ALPHA])
@@ -262,3 +263,20 @@ def test_sequence_holding_a_tower_is_freed_without_the_cycle_collector(alpha):
         assert stack() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("alpha", [None, ALPHA])
+def test_block_views_are_made_only_when_a_caller_indexes(alpha):
+    """A sequence makes its tuple of block views when first indexed or
+    iterated, and then hands out the same view of s_j on every call; a
+    canonical representative or a prefix makes none on its own."""
+    s = _measure(9, alpha)
+    _workflow(s, alpha)
+    canonical = M.canonical_rep(s) if alpha is None else M.canonical_rep_stieltjes(s, alpha)
+    prefix = s.prefix(3)
+    assert (canonical.q, canonical.kappa, len(canonical), prefix.kappa) == (s.q, s.kappa, len(s), 2)
+    assert canonical._blocks is None and prefix._blocks is None
+    views = list(canonical)
+    for j, view in enumerate(views):
+        assert canonical[j] is view and canonical.blocks[j] is view
+        assert np.shares_memory(view, canonical.stack) and not view.flags.writeable
