@@ -7,8 +7,9 @@ algebra kernel:
   Moore-Penrose inverse, rank and range tests, subspaces, projectors and the
   shared tolerance policy;
 - ``schur``: the Schur complement S(A, V) of a PSD matrix relative to a
-  subspace, its block-formula twin, the variational identity and the unique
-  splitting A = S + (A - S);
+  subspace, its block-formula twin, the variational identity, the unique
+  splitting A = S + (A - S), and the report of ranks and identity checks
+  the ``schur`` command prints;
 - ``hamburger``: the block Hankel ``Tower`` engine, which computes
   nonnegative definiteness, extendability, the admissible interval for the
   last block and the class test once for both moment problems, and the
@@ -52,6 +53,7 @@ from .schur import (
     is_unique_split,
     schur_complement,
     schur_complement_via_basis,
+    schur_report,
     variational_value,
 )
 from .hamburger import (
@@ -135,6 +137,7 @@ __all__ = [
     "same_class_stieltjes",
     "schur_complement",
     "schur_complement_via_basis",
+    "schur_report",
     "subspace_from_columns",
     "theta",
     "u_lower",

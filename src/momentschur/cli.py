@@ -14,8 +14,6 @@ import math
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -35,18 +33,8 @@ from .jsonio import (
     parse_sequence_file,
     sequence_json,
 )
-from .linalg import (
-    Tolerance,
-    _rank_sum_holds,
-    as_matrix,
-    as_tolerance,
-    herm_part,
-    loewner_leq,
-    numerical_rank,
-    psd_verdict,
-    subspace_from_columns,
-)
-from .schur import schur_complement
+from .linalg import Tolerance, as_tolerance, subspace_from_columns
+from .schur import schur_report
 from .stieltjes import classify_stieltjes
 
 
@@ -72,32 +60,16 @@ def cmd_schur(args) -> dict:
     t = as_tolerance(args.tol)
     A, V_columns = parse_schur_file(_read_json(args.input))
     V = subspace_from_columns(V_columns, t)
-    result = schur_complement(A, V, t)
-    M = herm_part(as_matrix(A))
-    range_A = subspace_from_columns(M, t)
-    rank_A = range_A.dim
-    rank_S = numerical_rank(result.S, t)
-    intersection_dim = rank_A + V.dim - numerical_rank(np.hstack([M, V.basis]), t)
+    result, rank_A, rank_S, checks = schur_report(A, V, t)
     return {
         "command": "schur",
         "tolerance": t.eps_rel,
-        "q": M.shape[0],
+        "q": A.shape[0],
         "dim_V": V.dim,
         "rank_A": rank_A,
         "rank_S": rank_S,
-        "S": result.S,
-        "P_fiber": result.P_fiber,
-        "complement": result.complement,
-        "checks": {
-            "S_psd": psd_verdict(result.S, t),
-            "S_leq_A": loewner_leq(result.S, M, t),
-            "range_S_in_V": V.contains(result.S, t),
-            "range_S_in_range_A": range_A.contains(result.S, t),
-            "rank_S_is_dim_of_range_A_cap_V": rank_S == intersection_dim,
-            "complement_range_meets_V_trivially": _rank_sum_holds(
-                result.complement, None, V.basis, V.dim, t
-            ),
-        },
+        **{f.name: getattr(result, f.name) for f in fields(result)},
+        "checks": checks,
     }
 
 

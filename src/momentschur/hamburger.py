@@ -354,15 +354,17 @@ class Tower:
             return np.zeros((self.s.q, self.s.q), dtype=complex)
         if j % 2 == 1:
             return self._theta((j + 1) // 2).copy()
-        # complex128 like the shift's blocks, whatever the type of alpha
-        base = (self.alpha * self.s[j]).astype(complex, copy=False)
+        # complex128 like the shift's blocks, whatever the type of alpha; on
+        # an inf block the product leaves a NaN, as in the shift, quietly
+        with np.errstate(invalid="ignore"):
+            base = (self.alpha * self.s.stack[j]).astype(complex, copy=False)
         return base if j == 0 else base + self._theta(j // 2, shifted=True)
 
     def kappa(self, j: int) -> Array:
         """kappa_j: L_{j/2} of s for even j, L_{(j-1)/2} of the shift for odd j."""
         if j % 2 == 0:
-            return self.s[j] - self._theta(j // 2)
-        return self.shift[j - 1] - self._theta((j - 1) // 2, shifted=True)
+            return self.s.stack[j] - self._theta(j // 2)
+        return self.shift.stack[j - 1] - self._theta((j - 1) // 2, shifted=True)
 
     def _report_levels(self) -> range:
         # the slack indices j a report shows: every one on the half line, the
@@ -378,10 +380,7 @@ class Tower:
     @cached_property
     def u_stack(self) -> Array:
         """u_{j-1} for each slack index j a report shows, as one read-only stack."""
-        # alpha s_{2k} on an inf block leaves a NaN, as in the shift: quiet,
-        # once per stack rather than once per level
-        with np.errstate(invalid="ignore"):
-            return _frozen(np.array([self.u(j - 1) for j in self._report_levels()]))
+        return _frozen(np.array([self.u(j - 1) for j in self._report_levels()]))
 
     def canonical(self) -> MomentSequence:
         """The sequence with its last block replaced by R_m, in a stack of its own."""
@@ -458,7 +457,7 @@ class Tower:
                 f"is not {self._name} nonnegative definite"
             )
         if m == 0:
-            return self.s[0]
+            return self.s.stack[0]
         if m not in self._rs:
             k_m, V = self._clipped(m)
             self._rs[m] = _frozen(self.u(m - 1) + schur_complement(k_m, V, self.t).S)
@@ -503,7 +502,7 @@ class Tower:
         if name not in self._ends:
             m = self.s.kappa
             if name == self.given:
-                end, norms = self.s[m], self.s.norms[m]
+                end, norms = self.s.stack[m], self.s.norms[m]
             else:
                 end, norms = self.u(m - 1) if name == "lower" else self._r(m), None
             message = "Loewner comparison requires Hermitian matrices"
@@ -532,7 +531,7 @@ class Tower:
         # R_m is defined, so H holds s_0..s_{m-1} and passed the Hermitian
         # test: they are finite, and equal blocks differ by exactly 0
         prefix_equal = np.array_equal(r.stack[:m], s.stack[:m]) or all(
-            frobenius(r[j] - s[j]) <= t.threshold(s.norms[j][0]) for j in range(m)
+            frobenius(r[j] - s.stack[j]) <= t.threshold(s.norms[j][0]) for j in range(m)
         )
         # judge the differences at the block scale, as the slacks are judged
         size = frobenius(r[m])
@@ -577,6 +576,8 @@ def l_matrix(s, n: int, tol=None) -> Array:
     s = MomentSequence.coerce(s)
     if 2 * n > s.kappa:
         raise IndexOutOfRange(f"l_matrix({n}) needs blocks up to {2 * n}")
+    if n < 0:
+        raise IndexOutOfRange(f"l_matrix order {n} is negative")
     return Tower.of(s, tol).kappa(2 * n)
 
 

@@ -8,6 +8,8 @@ lies inside V; it obeys the variational identity
 uniquely as ``S + (A - S)`` with the range of the remainder meeting V only
 in 0.  A second, independent computation route goes through a unitary basis
 completion and the classical block formula ``B11 - B12 B22^+ B21``.
+``schur_report`` gives S with the ranks and identity checks the command line
+prints.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .linalg import (
     fiber_projector,
     frobenius,
     herm_part,
+    loewner_leq,
+    numerical_rank,
     pinv,
 )
 
@@ -50,8 +54,8 @@ def _validated_psd(A, V, t, vectors=False) -> tuple[Array, Array, Array | None]:
     """Check A is square Hermitian PSD (within tolerance) and matches V.
 
     Returns (A+A^H)/2 with its eigenvalues w, from one factorization: an
-    ``eigh``, which also gives the eigenvectors U, when ``vectors`` is set and
-    V is not the whole space; else an ``eigvalsh``, and U is None.
+    ``eigh``, which also gives the eigenvectors U, when ``vectors`` is set;
+    else an ``eigvalsh``, and U is None.
     """
     M = as_matrix(A)
     if M.shape[0] != M.shape[1]:
@@ -61,7 +65,7 @@ def _validated_psd(A, V, t, vectors=False) -> tuple[Array, Array, Array | None]:
             f"A is {M.shape[0]}x{M.shape[0]} but V lives in C^{V.ambient_dim}"
         )
     H = _checked(M, t, "matrix is not Hermitian, hence not PSD", NotPSD)[0]
-    if vectors and V.dim < H.shape[0]:
+    if vectors:
         w, U = _lapack("eigh", H)
     else:
         w, U = _lapack("eigvalsh", H), None
@@ -73,7 +77,13 @@ def _validated_psd(A, V, t, vectors=False) -> tuple[Array, Array, Array | None]:
 def schur_complement(A, V: Subspace, tol=None) -> SchurResult:
     """S(A, V) by the defining square-root / fiber-projector route."""
     t = as_tolerance(tol)
-    M, w, U = _validated_psd(A, V, t, vectors=True)
+    # the eigenvectors build the fiber or the root; when V is the whole
+    # space, S = A needs only the PSD verdict
+    return _complement(*_validated_psd(A, V, t, vectors=V.dim < V.ambient_dim), V, t)
+
+
+def _complement(M, w, U, V: Subspace, t) -> SchurResult:
+    """S(M, V) from ``_validated_psd``'s M, w and U (U may be None only when V = C^q)."""
     q = M.shape[0]
     d = V.dim
     if d == 0:
@@ -88,6 +98,39 @@ def schur_complement(A, V: Subspace, tol=None) -> SchurResult:
         psi = fiber_projector(root, V, t)
         S = herm_part(root @ psi @ root)
     return SchurResult(S=S, P_fiber=psi, complement=M - S)
+
+
+def schur_report(A, V: Subspace, tol=None) -> tuple[SchurResult, int, int, dict[str, bool]]:
+    """(``schur_complement(A, V)``, rank A, rank S, checks): what the ``schur`` command reports.
+
+    The checks test the identities S(A, V) obeys, by name.  S is built
+    from one ``eigh`` of A, whatever V is, and the report reads what it
+    holds: rank A and ran A are the eigenvectors whose |w| passes
+    ``numerical_rank``'s rule, and rank S and ``S_psd`` come from one
+    ``eigvalsh`` of S.  Three checks stay independent of the computation
+    they check: ``S_leq_A`` takes its own ``eigvalsh`` of A - S;
+    dim(ran A ∩ V) is rank A + dim V - rank [A V], by one values-only SVD
+    of A beside V's basis; and the remainder's rank-sum test factorizes
+    A - S beside V's basis.
+    """
+    t = as_tolerance(tol)
+    M, w, U = _validated_psd(A, V, t, vectors=True)
+    result = _complement(M, w, U, V, t)
+    S, Y = result.S, result.complement
+    range_A = Subspace(U[:, _pinv_rule(t)(np.abs(w))])
+    # S is exactly Hermitian in every branch: its PSD verdict needs no Hermitian test
+    w_S = _lapack("eigvalsh", S)
+    rank_S = int(np.count_nonzero(_pinv_rule(t)(np.abs(w_S))))
+    cap_dim = range_A.dim + V.dim - numerical_rank(np.hstack([M, V.basis]), t)
+    checks = {
+        "S_psd": _psd_floor(w_S, t),
+        "S_leq_A": loewner_leq(S, M, t),
+        "range_S_in_V": V.contains(S, t),
+        "range_S_in_range_A": range_A.contains(S, t),
+        "rank_S_is_dim_of_range_A_cap_V": rank_S == cap_dim,
+        "complement_range_meets_V_trivially": _rank_sum_holds(Y, None, V.basis, V.dim, t),
+    }
+    return result, range_A.dim, rank_S, checks
 
 
 def schur_complement_via_basis(A, V: Subspace, tol=None) -> Array:

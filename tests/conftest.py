@@ -8,9 +8,27 @@ non-extendable sequences violate the defining range condition in a direction
 chosen orthogonal to it.
 """
 
+from collections import Counter
+
 import numpy as np
+import pytest
 
 from momentschur import MomentSequence, Subspace
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Count np.linalg.eigh, eigvalsh, svd and qr calls by name."""
+    counts = Counter()
+    for name in ("eigh", "eigvalsh", "svd", "qr"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
 
 
 def random_complex(rng, rows, cols):

@@ -53,6 +53,9 @@ def write_seq(path, blocks, q=1, alpha=None):
 
 GOLDEN_CASES = [
     (("schur", "schur_in.json"), "schur_out.json"),
+    # V = 0 and V = C^3 on a rank-2 A: the d = 0 and d = q branches of the report
+    (("schur", "schur_in_zero.json"), "schur_out_zero.json"),
+    (("schur", "schur_in_full.json"), "schur_out_full.json"),
     (("classify", "seq_101.json"), "classify_hamburger_out.json"),
     (("classify", "seq_111_alpha0.json"), "classify_stieltjes_out.json"),
     (

@@ -78,3 +78,17 @@ def test_the_check_sees_a_definition_without_a_caller():
 def test_every_definition_has_a_caller():
     sources = {p.stem: p.read_text() for p in SOURCES}
     assert uncalled_definitions(sources) == []
+
+
+def test_the_cli_imports_no_private_name():
+    # the command line formats what the library computes, through its
+    # public names
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("momentschur"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -80,12 +80,15 @@ def test_non_finite_sequences_get_a_report(s):
 
 def test_non_finite_blocks_answer_without_a_warning():
     # the block norms and the Hermitian test say NaN or False for a NaN or
-    # an inf without forming M - M^H, where numpy would warn about inf - inf
+    # an inf without forming M - M^H, where numpy would warn about inf - inf;
+    # u_0 = alpha s_0 is a complex product, as the shift's blocks are, and
+    # leaves a NaN imaginary part where s_0 holds an inf
     D = np.diag([np.inf, 1.0])
     inf_first = [D, np.zeros((2, 2)), np.eye(2)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isnan(M.MomentSequence(inf_first).norms[0]).all()
+        assert np.isnan(M.u_lower(inf_first, -0.5, 0)[0, 0].imag)
         assert not M.classify_hamburger(inf_first).is_hnnd
         assert not M.is_hnnd(inf_first)
         report = M.classify_stieltjes([1.0, 0.0, np.inf], -0.5)
@@ -216,21 +219,6 @@ def test_the_psd_floor_reads_the_spectral_radius_from_the_ends(w, scale):
 def test_the_default_tolerance_is_one_shared_instance():
     assert as_tolerance(None) is as_tolerance(None)
     assert as_tolerance(None) == Tolerance()
-
-
-@pytest.fixture
-def factorizations(monkeypatch):
-    """Count np.linalg.eigh, eigvalsh, svd and qr calls by name."""
-    counts = Counter()
-    for name in ("eigh", "eigvalsh", "svd", "qr"):
-        real = getattr(np.linalg, name)
-
-        def counted(*args, _name=name, _real=real, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
 
 
 @pytest.mark.parametrize("d, eigh, eigvalsh", [(0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 0, 1)])

@@ -1,5 +1,10 @@
 """Tests for the subspace-relative Schur complement and the decomposition."""
 
+import contextlib
+import io
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +16,7 @@ from momentschur import (
     NotPSD,
     SplitInvalid,
     Subspace,
+    Tolerance,
     decompose,
     in_lcr,
     is_unique_split,
@@ -18,10 +24,22 @@ from momentschur import (
     range_included,
     schur_complement,
     schur_complement_via_basis,
+    schur_report,
     subspace_from_columns,
     variational_value,
 )
-from momentschur.linalg import frobenius, herm_part, numerical_rank
+from momentschur import cli
+from momentschur.linalg import (
+    _rank_sum_holds,
+    as_matrix,
+    frobenius,
+    herm_part,
+    numerical_rank,
+    psd_verdict,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
+T = Tolerance()
 
 E1 = subspace_from_columns(np.array([[1.0], [0.0]]))
 
@@ -332,3 +350,88 @@ class TestUniqueSplit:
             is_unique_split(np.eye(2), E1, np.eye(3), np.eye(2))
         with pytest.raises(DimensionMismatch, match="^V has the wrong ambient dimension$"):
             is_unique_split(np.eye(3), E1, np.eye(3), np.zeros((3, 3)))
+
+
+def recomputed_report(A, V, t):
+    """The reference: schur_report's ranks and checks, each recomputed from scratch.
+
+    ran A and every rank come from SVDs of their own, and S_psd from a PSD
+    verdict on S, as the schur command once computed them beside the kernel.
+    """
+    result = schur_complement(A, V, t)
+    M = herm_part(as_matrix(A))
+    range_A = subspace_from_columns(M, t)
+    rank_S = numerical_rank(result.S, t)
+    cap_dim = range_A.dim + V.dim - numerical_rank(np.hstack([M, V.basis]), t)
+    checks = {
+        "S_psd": psd_verdict(result.S, t),
+        "S_leq_A": loewner_leq(result.S, M, t),
+        "range_S_in_V": V.contains(result.S, t),
+        "range_S_in_range_A": range_A.contains(result.S, t),
+        "rank_S_is_dim_of_range_A_cap_V": rank_S == cap_dim,
+        "complement_range_meets_V_trivially": _rank_sum_holds(
+            result.complement, None, V.basis, V.dim, t
+        ),
+    }
+    return result, range_A.dim, rank_S, checks
+
+
+def report_case(rng, q, d):
+    """A PSD A of random rank and scale, and V spanned by columns partly drawn from ran A."""
+    r = int(rng.integers(0, q + 1))
+    G = random_complex(rng, q, r)
+    # a third of the spectra spread over four decades
+    w = 10.0 ** rng.uniform(-4, 0, r) if rng.random() < 1 / 3 else rng.uniform(0.1, 1, r)
+    A = 10.0 ** rng.uniform(-6, 6) * (G * w) @ G.conj().T
+    k = int(rng.integers(0, min(d, r) + 1))
+    columns = np.hstack([G[:, :k], random_complex(rng, q, d - k)])
+    return A, subspace_from_columns(columns)
+
+
+class TestSchurReport:
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_matches_the_recomputed_ranks_and_checks(self, q):
+        for d in range(q + 1):
+            for k in range(4):
+                A, V = report_case(np.random.default_rng([q, d, k]), q, d)
+                assert V.dim == d
+                result, rank_A, rank_S, checks = schur_report(A, V, T)
+                expected = recomputed_report(A, V, T)
+                for name in ("S", "P_fiber", "complement"):
+                    assert np.array_equal(getattr(result, name), getattr(expected[0], name))
+                assert (rank_A, rank_S, checks) == expected[1:], (q, d, k)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-16])
+    def test_failed_checks_are_those_of_the_reference(self, tol):
+        # V holds e1 + 1e-7 e2, close to A's dominant eigenvector e1 but not
+        # on it: some of the identities fail numerically
+        A = np.diag([1e6, 1.0, 0.0])
+        V = subspace_from_columns(np.array([[1.0, 1.0], [1e-7, 0.0], [0.0, 1.0]]))
+        report = schur_report(A, V, tol)
+        assert not all(report[3].values())
+        assert report[1:] == recomputed_report(A, V, tol)[1:]
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("schur_in.json", Counter(svd=5, eigvalsh=2, eigh=1)),
+            # V = 0: no SVD builds V's basis, and none tests the remainder
+            ("schur_in_zero.json", Counter(svd=1, eigvalsh=2, eigh=1)),
+            # V = C^q: the report takes an eigh where schur_complement takes
+            # an eigvalsh, and the remainder is 0
+            ("schur_in_full.json", Counter(svd=2, eigvalsh=2, eigh=1)),
+        ],
+    )
+    def test_the_command_reads_the_factorization_s_is_built_from(self, factorizations, name, expected):
+        # one SVD builds V's basis, one eigh of A builds S and gives ran A, one
+        # eigvalsh of S gives rank S and S_psd; S_leq_A's eigvalsh, the SVD of
+        # [A V] and the remainder's rank-sum SVDs stay independent
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["schur", str(GOLDEN / name)]) == 0
+        assert factorizations == expected
+
+    def test_raises_what_schur_complement_raises(self):
+        with pytest.raises(NotPSD):
+            schur_report(np.diag([1.0, -1.0]), E1)
+        with pytest.raises(DimensionMismatch):
+            schur_report(np.eye(3), E1)
