@@ -68,7 +68,7 @@ def cmd_schur(args) -> dict:
         "dim_V": V.dim,
         "rank_A": rank_A,
         "rank_S": rank_S,
-        **{f.name: getattr(result, f.name) for f in fields(result)},
+        "S": result.S, "P_fiber": result.P_fiber, "complement": result.complement,
         "checks": checks,
     }
 

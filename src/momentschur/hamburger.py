@@ -354,10 +354,8 @@ class Tower:
             return np.zeros((self.s.q, self.s.q), dtype=complex)
         if j % 2 == 1:
             return self._theta((j + 1) // 2).copy()
-        # complex128 like the shift's blocks, whatever the type of alpha; on
-        # an inf block the product leaves a NaN, as in the shift, quietly
-        with np.errstate(invalid="ignore"):
-            base = (self.alpha * self.s.stack[j]).astype(complex, copy=False)
+        # complex128 like the shift's blocks, whatever the type of alpha
+        base = (self.alpha * self.s.stack[j]).astype(complex, copy=False)
         return base if j == 0 else base + self._theta(j // 2, shifted=True)
 
     def kappa(self, j: int) -> Array:
@@ -380,7 +378,10 @@ class Tower:
     @cached_property
     def u_stack(self) -> Array:
         """u_{j-1} for each slack index j a report shows, as one read-only stack."""
-        return _frozen(np.array([self.u(j - 1) for j in self._report_levels()]))
+        # alpha s_{2k} on an inf block leaves a NaN, as in the shift: quiet,
+        # once per stack rather than once per level
+        with np.errstate(invalid="ignore"):
+            return _frozen(np.array([self.u(j - 1) for j in self._report_levels()]))
 
     def canonical(self) -> MomentSequence:
         """The sequence with its last block replaced by R_m, in a stack of its own."""

@@ -38,6 +38,7 @@ from .linalg import (
     loewner_leq,
     numerical_rank,
     pinv,
+    subspace_from_columns,
 )
 
 
@@ -104,22 +105,27 @@ def schur_report(A, V: Subspace, tol=None) -> tuple[SchurResult, int, int, dict[
     """(``schur_complement(A, V)``, rank A, rank S, checks): what the ``schur`` command reports.
 
     The checks test the identities S(A, V) obeys, by name.  S is built
-    from one ``eigh`` of A, whatever V is, and the report reads what it
-    holds: rank A and ran A are the eigenvectors whose |w| passes
-    ``numerical_rank``'s rule, and rank S and ``S_psd`` come from one
-    ``eigvalsh`` of S.  Three checks stay independent of the computation
-    they check: ``S_leq_A`` takes its own ``eigvalsh`` of A - S;
-    dim(ran A ∩ V) is rank A + dim V - rank [A V], by one values-only SVD
-    of A beside V's basis; and the remainder's rank-sum test factorizes
-    A - S beside V's basis.
+    from the factorization ``schur_complement`` takes, so the report raises
+    where it raises, and the report reads what it holds.  When V is not the
+    whole space that is an ``eigh`` of A: rank A and ran A are the
+    eigenvectors whose |w| passes ``numerical_rank``'s rule, and rank S and
+    ``S_psd`` come from one ``eigvalsh`` of S.  When V = C^q it is an
+    ``eigvalsh`` of A = S, which gives rank S and ``S_psd``, and ran A
+    takes an SVD of A.  The ranks count eigenvalue magnitudes, so one
+    within a few ulps of the threshold may count otherwise than in
+    ``numerical_rank``'s SVD.  Three checks stay independent of the
+    computation they check: ``S_leq_A`` takes its own ``eigvalsh`` of
+    A - S; dim(ran A ∩ V) is rank A + dim V - rank [A V], by one
+    values-only SVD of A beside V's basis; and the remainder's rank-sum
+    test factorizes A - S beside V's basis.
     """
     t = as_tolerance(tol)
-    M, w, U = _validated_psd(A, V, t, vectors=True)
+    M, w, U = _validated_psd(A, V, t, vectors=V.dim < V.ambient_dim)
     result = _complement(M, w, U, V, t)
     S, Y = result.S, result.complement
-    range_A = Subspace(U[:, _pinv_rule(t)(np.abs(w))])
+    range_A = subspace_from_columns(M, t) if U is None else Subspace(U[:, _pinv_rule(t)(np.abs(w))])
     # S is exactly Hermitian in every branch: its PSD verdict needs no Hermitian test
-    w_S = _lapack("eigvalsh", S)
+    w_S = w if U is None else _lapack("eigvalsh", S)
     rank_S = int(np.count_nonzero(_pinv_rule(t)(np.abs(w_S))))
     cap_dim = range_A.dim + V.dim - numerical_rank(np.hstack([M, V.basis]), t)
     checks = {

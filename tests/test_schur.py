@@ -417,9 +417,9 @@ class TestSchurReport:
             ("schur_in.json", Counter(svd=5, eigvalsh=2, eigh=1)),
             # V = 0: no SVD builds V's basis, and none tests the remainder
             ("schur_in_zero.json", Counter(svd=1, eigvalsh=2, eigh=1)),
-            # V = C^q: the report takes an eigh where schur_complement takes
-            # an eigvalsh, and the remainder is 0
-            ("schur_in_full.json", Counter(svd=2, eigvalsh=2, eigh=1)),
+            # V = C^q: schur_complement's eigvalsh of A = S gives rank S and
+            # S_psd, an SVD gives ran A, and the remainder is 0
+            ("schur_in_full.json", Counter(svd=3, eigvalsh=2)),
         ],
     )
     def test_the_command_reads_the_factorization_s_is_built_from(self, factorizations, name, expected):
@@ -429,6 +429,28 @@ class TestSchurReport:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["schur", str(GOLDEN / name)]) == 0
         assert factorizations == expected
+
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_at_the_psd_boundary_raises_where_schur_complement_raises(self, q):
+        # the smallest eigenvalue sits at -threshold: an eigh and an eigvalsh
+        # of A differ there by a few ulps, enough to flip the verdict
+        for d in (0, 1, q):
+            V = subspace_from_columns(np.eye(q)[:, :d])
+            for seed in range(20):
+                rng = np.random.default_rng([q, d, seed])
+                U = np.linalg.qr(random_complex(rng, q, q))[0]
+                w = rng.uniform(0.1, 1, q)
+                w[0] = -T.threshold(w.max())
+                A = herm_part((U * w) @ U.conj().T)
+                try:
+                    expected = recomputed_report(A, V, T)
+                except NotPSD:
+                    with pytest.raises(NotPSD):
+                        schur_report(A, V, T)
+                    continue
+                report = schur_report(A, V, T)
+                for name in ("S", "P_fiber", "complement"):
+                    assert np.array_equal(getattr(report[0], name), getattr(expected[0], name))
 
     def test_raises_what_schur_complement_raises(self):
         with pytest.raises(NotPSD):
