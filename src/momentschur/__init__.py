@@ -12,10 +12,10 @@ algebra kernel:
   the ``schur`` command prints;
 - ``hamburger``: the block Hankel ``Tower`` engine, which computes
   nonnegative definiteness, extendability, the admissible interval for the
-  last block and the class test once for both moment problems, and the
-  public functions of the problem on the line; ``stieltjes`` runs the
-  problem on a half line [alpha, oo) on the same engine, with a second,
-  shifted tower.
+  last block and the class test once for both moment problems, the shift
+  ``alpha_shift`` its half-line tower reads, and the public functions of
+  the problem on the line; ``stieltjes`` runs the problem on a half line
+  [alpha, oo) on the same engine, with a second, shifted tower.
 
 A JSON command line front end lives in ``cli`` (entry point ``momentschur``).
 """
@@ -59,6 +59,7 @@ from .schur import (
 from .hamburger import (
     HamburgerReport,
     MomentSequence,
+    alpha_shift,
     block_hankel,
     canonical_rep,
     classify_hamburger,
@@ -74,7 +75,6 @@ from .hamburger import (
 )
 from .stieltjes import (
     StieltjesReport,
-    alpha_shift,
     canonical_rep_stieltjes,
     classify_stieltjes,
     in_extension_interval_stieltjes,

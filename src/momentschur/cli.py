@@ -51,9 +51,14 @@ def _read_json(path: str):
 
 
 def _resolve_alpha(args, *file_alphas):
+    """--alpha when given; else the alpha the files carry, which must agree, or None."""
     if args.alpha is not None:
         return float(args.alpha)
-    return next((a for a in file_alphas if a is not None), None)
+    alphas = [a for a in file_alphas if a is not None]
+    if any(a != alphas[0] for a in alphas):
+        named = " and ".join(map(repr, alphas))
+        raise ParseError(f"the files carry different alphas, {named}; choose one with --alpha")
+    return alphas[0] if alphas else None
 
 
 def cmd_schur(args) -> dict:

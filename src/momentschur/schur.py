@@ -61,7 +61,7 @@ def _validated_psd(A, V, t, vectors=False) -> tuple[Array, Array, Array | None]:
     M = as_matrix(A)
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"A must be square, got shape {M.shape}")
-    if V is not None and V.ambient_dim != M.shape[0]:
+    if V.ambient_dim != M.shape[0]:
         raise DimensionMismatch(
             f"A is {M.shape[0]}x{M.shape[0]} but V lives in C^{V.ambient_dim}"
         )

@@ -3,7 +3,9 @@
 The Stieltjes problem runs on the hamburger module's ``Tower`` with a second
 tower, that of the shifted sequence -alpha s_j + s_{j+1}, so that every index
 carries a slack kappa_j and R_m = u_{m-1} + S(kappa_m, ran kappa_{m-1}).
-This module holds the report, the shift and the half line's public functions.
+This module holds the report and the half line's public functions; the
+shift, ``alpha_shift``, lives in the hamburger module beside the tower that
+calls it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, TooShort
+from .errors import IndexOutOfRange
 from .hamburger import MomentSequence, Tower
 from .linalg import Array, as_tolerance
 
@@ -35,23 +37,6 @@ class StieltjesReport:
     u: tuple[Array, ...]
     R: Array | None
     canonical: MomentSequence | None
-
-
-def alpha_shift(s, alpha: float) -> MomentSequence:
-    """The shifted sequence with blocks -alpha s_j + s_{j+1} (one block shorter)."""
-    s = MomentSequence.coerce(s)
-    if len(s) < 2:
-        raise TooShort("alpha_shift needs at least two blocks")
-    # an inf block times the complex -alpha + 0j leaves a NaN imaginary part,
-    # which numpy warns about; the product keeps its bits either way
-    with np.errstate(invalid="ignore"):
-        shifted = -alpha * s.stack[:-1] + s.stack[1:]
-    if shifted.shape != s.stack[1:].shape:
-        # an array alpha broadcast the blocks to another shape: the
-        # constructor checks what came out
-        return MomentSequence(shifted)
-    # complex128 whatever the type of alpha, as the blocks of s are
-    return object.__new__(MomentSequence)._hold(shifted.astype(complex, copy=False))
 
 
 def is_knnd(s, alpha: float, tol=None) -> bool:

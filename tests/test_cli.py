@@ -51,50 +51,17 @@ def write_seq(path, blocks, q=1, alpha=None):
     return str(path)
 
 
-GOLDEN_CASES = [
-    (("schur", "schur_in.json"), "schur_out.json"),
-    # V = 0 and V = C^3 on a rank-2 A: the d = 0 and d = q branches of the report
-    (("schur", "schur_in_zero.json"), "schur_out_zero.json"),
-    (("schur", "schur_in_full.json"), "schur_out_full.json"),
-    (("classify", "seq_101.json"), "classify_hamburger_out.json"),
-    (("classify", "seq_111_alpha0.json"), "classify_stieltjes_out.json"),
-    (
-        ("interval", "seq_001.json", "--last", "last_half.json"),
-        "interval_given_out.json",
-    ),
-    (
-        ("interval", "seq_001.json", "--last", "last_half.json", "--bound", "canonical"),
-        "interval_canonical_out.json",
-    ),
-    (("class-test", "seq_001.json", "seq_005.json"), "class_test_same_out.json"),
-    (("class-test", "seq_101.json", "seq_102.json"), "class_test_diff_out.json"),
-    # half line [-0.5, oo), q = 2: the last block of seq_201 exceeds R_3 by a
-    # rank-one block outside ran kappa_2, so the two upper bounds differ
-    (
-        ("interval", "seq_201_alpha.json", "--last", "last_q2_above.json"),
-        "stieltjes_interval_given_member_out.json",
-    ),
-    (
-        ("interval", "seq_201_alpha.json", "--last", "last_q2_below.json"),
-        "stieltjes_interval_given_nonmember_out.json",
-    ),
-    (
-        ("interval", "seq_201_alpha.json", "--last", "last_q2_inside.json", "--bound", "canonical"),
-        "stieltjes_interval_canonical_member_out.json",
-    ),
-    (
-        ("interval", "seq_201_alpha.json", "--last", "last_q2_above.json", "--bound", "canonical"),
-        "stieltjes_interval_canonical_nonmember_out.json",
-    ),
-    (
-        ("class-test", "seq_201_alpha.json", "seq_202_alpha.json"),
-        "stieltjes_class_test_same_out.json",
-    ),
-    (
-        ("class-test", "seq_201_alpha.json", "seq_203_alpha.json"),
-        "stieltjes_class_test_diff_out.json",
-    ),
-]
+def golden_cases():
+    """(argv, output file) for each case of the manifest tests/golden/cases.tsv."""
+    cases = []
+    for line in (GOLDEN / "cases.tsv").read_text().splitlines():
+        if not line.startswith("#"):
+            out, argv, _why = line.split("\t")
+            cases.append((tuple(argv.split()), out))
+    return cases
+
+
+GOLDEN_CASES = golden_cases()
 
 
 class TestGolden:
@@ -106,6 +73,10 @@ class TestGolden:
         result = run_cli(*full)
         assert result.returncode == 0, result.stderr
         assert result.stdout == (GOLDEN / expected).read_text()
+
+    def test_the_manifest_lists_every_golden_report(self):
+        listed = sorted(out for _, out in GOLDEN_CASES)
+        assert listed == sorted(p.name for p in GOLDEN.glob("*_out*.json"))
 
     def test_reruns_are_byte_identical(self):
         args = ("schur", str(GOLDEN / "schur_in.json"))
@@ -184,6 +155,19 @@ class TestFlags:
         result = run_cli("classify", str(GOLDEN / "seq_101.json"), "--alpha", "0")
         assert result.returncode == 0
         assert json.loads(result.stdout)["mode"] == "stieltjes"
+
+    def test_class_test_refuses_files_whose_alphas_differ_in_either_order(self, tmp_path):
+        blocks = [[[1]], [[0.2]], [[1]]]
+        s = write_seq(tmp_path / "s.json", blocks, alpha=-0.5)
+        r = write_seq(tmp_path / "r.json", blocks, alpha=0.5)
+        for files, named in (((s, r), "-0.5 and 0.5"), ((r, s), "0.5 and -0.5")):
+            code, out, err = main_in_process("class-test", *files)
+            assert (code, out) == (2, "")
+            assert f"different alphas, {named}; choose one with --alpha" in err
+        # --alpha still wins, and then the order of the files does not matter
+        for alpha, expected in (("-0.5", 0), ("0.5", 3)):
+            assert main_in_process("class-test", s, r, "--alpha", alpha)[0] == expected
+            assert main_in_process("class-test", r, s, "--alpha", alpha)[0] == expected
 
     def test_tol_is_echoed(self):
         result = run_cli("schur", str(GOLDEN / "schur_in.json"), "--tol", "1e-8")

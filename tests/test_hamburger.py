@@ -77,6 +77,12 @@ class TestMomentSequence:
         s = MomentSequence([np.eye(2)])
         with pytest.raises(ValueError):
             s[0][0, 0] = 7.0
+        # every sequence, a prefix or a joined one too, hands out views of
+        # its one stack, the same view of s_j on every call
+        for seq in (s, s.appended(2 * np.eye(2)), s.appended(np.eye(2)).prefix(1)):
+            for j, view in enumerate(seq):
+                assert seq[j] is view and seq.blocks[j] is view
+                assert np.shares_memory(view, seq.stack) and not view.flags.writeable
 
 
 class TestBlockHankel:

@@ -173,20 +173,6 @@ def test_report_stacks_hold_the_per_level_answers(blocks):
         assert fingerprint(rep.L_prev) == fingerprint(M.l_matrix(fresh(hamburger_s), n - 1))
 
 
-@pytest.mark.parametrize("alpha", [None, 0.5])
-def test_a_cold_classify_makes_no_block_tuple_for_the_twin_or_the_shift(alpha):
-    # the tower reads the blocks of its twin and of the shift from their stacks
-    s = measure(3, 2, 7, alpha)
-    if alpha is None:
-        M.classify_hamburger(s)
-    else:
-        M.classify_stieltjes(s, alpha)
-    tower = s._held[1]
-    assert tower.s._blocks is None
-    if alpha is not None:
-        assert tower.shift._blocks is None
-
-
 @pytest.mark.parametrize("plus", [0.0, float("nan")])
 def test_alpha_of_the_other_sign_keys_its_own_tower(plus):
     s, minus = measure(11, 2, 5, 0.0), -plus

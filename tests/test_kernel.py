@@ -19,7 +19,7 @@ from conftest import (
 )
 
 import momentschur as M
-from momentschur import linalg
+from momentschur import hamburger, linalg
 from momentschur.hamburger import Tower
 from momentschur.linalg import (
     Tolerance,
@@ -107,6 +107,37 @@ def test_public_theta_still_raises_on_non_finite_blocks():
     s = [np.diag([np.inf, 1.0]), np.zeros((2, 2)), np.eye(2)]
     with pytest.raises(M.NoConvergence):
         M.theta(s, 1)
+
+
+class _CountingIsfinite:
+    """numpy as the hamburger module sees it, with its isfinite calls counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def isfinite(self, *args, **kwargs):
+        self.calls += 1
+        return np.isfinite(*args, **kwargs)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5])
+def test_a_cold_classify_reads_finiteness_from_the_block_norms(monkeypatch, alpha):
+    # one np.isfinite pass for each sequence whose norms the tower reads (s,
+    # and on the half line its shift), and none per Theta or per level
+    counting = _CountingIsfinite()
+    monkeypatch.setattr(hamburger, "np", counting)
+    rng = np.random.default_rng(1)
+    if alpha is None:
+        s = M.MomentSequence(hamburger_measure_sequence(rng, 2, 11, n_atoms=4))
+        assert M.classify_hamburger(s).is_hnnde
+        assert counting.calls == 1
+    else:
+        s = M.MomentSequence(stieltjes_measure_sequence(rng, alpha, 2, 11, n_atoms=4))
+        assert M.classify_stieltjes(s, alpha).is_knnde
+        assert counting.calls == 2
 
 
 def _infinite_off_diagonal(value):

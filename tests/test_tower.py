@@ -263,20 +263,3 @@ def test_sequence_holding_a_tower_is_freed_without_the_cycle_collector(alpha):
         assert stack() is None
     finally:
         gc.enable()
-
-
-@pytest.mark.parametrize("alpha", [None, ALPHA])
-def test_block_views_are_made_only_when_a_caller_indexes(alpha):
-    """A sequence makes its tuple of block views when first indexed or
-    iterated, and then hands out the same view of s_j on every call; a
-    canonical representative or a prefix makes none on its own."""
-    s = _measure(9, alpha)
-    _workflow(s, alpha)
-    canonical = M.canonical_rep(s) if alpha is None else M.canonical_rep_stieltjes(s, alpha)
-    prefix = s.prefix(3)
-    assert (canonical.q, canonical.kappa, len(canonical), prefix.kappa) == (s.q, s.kappa, len(s), 2)
-    assert canonical._blocks is None and prefix._blocks is None
-    views = list(canonical)
-    for j, view in enumerate(views):
-        assert canonical[j] is view and canonical.blocks[j] is view
-        assert np.shares_memory(view, canonical.stack) and not view.flags.writeable
