@@ -167,16 +167,19 @@ def _rebuilt(w, U) -> Array:
     return herm_part((U * w) @ U.conj().T)
 
 
-def _psd_root(w, U, t: Tolerance) -> Array:
-    """The PSD square root of U diag(w) U^H, from its ascending eigenvalues w.
+def _root_factor(w, U, t: Tolerance) -> tuple[Array, Array]:
+    """(Ur, F): the PSD square root of U diag(w) U^H is F Ur^H, from its ascending eigenvalues w.
 
-    Eigenvalues within the band |w| <= threshold(max |w|) are flattened to
-    exact zero before taking roots, on both sides: a positive noise
-    eigenvalue eps would otherwise surface as sqrt(eps), far above noise
-    level, and give the root a larger numerical rank than the matrix.
-    Anything below the band raises NotPSD.
+    Ur holds the eigenvectors outside the band |w| <= threshold(max |w|),
+    an orthonormal basis of the range, and F = Ur diag(sqrt w) on them.
+    Eigenvalues within the band are flattened to exact zero before taking
+    roots, on both sides: a positive noise eigenvalue eps would otherwise
+    surface as sqrt(eps), far above noise level, and give the root a larger
+    numerical rank than the matrix.  Anything below the band raises NotPSD.
     """
-    return _rebuilt(np.sqrt(_flatten_band(w, t.threshold(np.abs(w).max()))), U)
+    w = _flatten_band(w, t.threshold(np.abs(w).max()))
+    Ur = U[:, w != 0]
+    return Ur, Ur * np.sqrt(w[w != 0])
 
 
 class _Spectrum:
@@ -375,6 +378,8 @@ def fiber_projector(M, V: Subspace, tol=None) -> Array:
     ``sigma * ||M||_F <= threshold(||M||_F^2)``: for M = sqrt(A) that judges
     N at the scale of A (||M||_F^2 = trace A), where ``V.contains`` judges
     ran A inside V, not at the scale of N's own largest singular value.
+    This is the defining formula; ``schur_complement`` takes the same rule
+    on ran A, from the factor ``_root_factor`` gives, without forming N.
     """
     t = as_tolerance(tol)
     A = as_matrix(M)

@@ -28,11 +28,10 @@ from .linalg import (
     _loewner_leq,
     _pinv_rule,
     _psd_floor,
-    _psd_root,
     _rank_sum_holds,
+    _root_factor,
     as_matrix,
     as_tolerance,
-    fiber_projector,
     frobenius,
     herm_part,
     loewner_leq,
@@ -76,7 +75,13 @@ def _validated_psd(A, V, t, vectors=False) -> tuple[Array, Array, Array | None]:
 
 
 def schur_complement(A, V: Subspace, tol=None) -> SchurResult:
-    """S(A, V) by the defining square-root / fiber-projector route."""
+    """S(A, V) by the square-root / fiber-projector route, worked on ran A.
+
+    With sqrt(A) = F Ur^H (Ur an orthonormal basis of ran A), one thin SVD
+    of the q x rank A matrix (I - P_V) F gives the fiber, and S is the Gram
+    product (F Z0)(F Z0)^H, Z0 the right singular vectors judged zero.  It
+    equals ``sqrt(A) @ fiber_projector(sqrt(A), V) @ sqrt(A)`` up to rounding.
+    """
     t = as_tolerance(tol)
     # the eigenvectors build the fiber or the root; when V is the whole
     # space, S = A needs only the PSD verdict
@@ -95,9 +100,17 @@ def _complement(M, w, U, V: Subspace, t) -> SchurResult:
         psi = np.eye(q, dtype=complex)
         S = M
     else:
-        root = _psd_root(w, U, t)
-        psi = fiber_projector(root, V, t)
-        S = herm_part(root @ psi @ root)
+        # sqrt(A) = F Ur^H, so N = (I - P_V) sqrt(A) = K Ur^H with K = (I - P_V) F,
+        # q x rank A: the fiber is null N, whose complement is Ur times K's row
+        # space, and S = F (I - Z Z^H) F^H for Z that row space's basis
+        Ur, F = _root_factor(w, U, t)
+        norm = frobenius(F)
+        _, s, Zh = _lapack("svd", F - V.basis @ (V.basis.conj().T @ F), full_matrices=False)
+        # fiber_projector's rule: K's singular values are N's, judged at A's scale
+        kept = s * norm > t.threshold(norm * norm)
+        X, G = Ur @ Zh[kept].conj().T, F @ Zh[~kept].conj().T
+        psi = herm_part(np.eye(q) - X @ X.conj().T)
+        S = herm_part(G @ G.conj().T)
     return SchurResult(S=S, P_fiber=psi, complement=M - S)
 
 
@@ -111,7 +124,9 @@ def schur_report(A, V: Subspace, tol=None) -> tuple[SchurResult, int, int, dict[
     eigenvectors whose |w| passes ``numerical_rank``'s rule, and rank S and
     ``S_psd`` come from one ``eigvalsh`` of S.  When V = C^q it is an
     ``eigvalsh`` of A = S, which gives rank S and ``S_psd``, and ran A
-    takes an SVD of A.  The ranks count eigenvalue magnitudes, so one
+    takes an SVD of A.  When V = 0, S is 0 and ran A meets V only in 0,
+    so rank S is 0, ``S_psd`` holds and dim(ran A ∩ V) is 0, with no
+    factorization of their own.  The ranks count eigenvalue magnitudes, so one
     within a few ulps of the threshold may count otherwise than in
     ``numerical_rank``'s SVD.  Three checks stay independent of the
     computation they check: ``S_leq_A`` takes its own ``eigvalsh`` of
@@ -124,12 +139,17 @@ def schur_report(A, V: Subspace, tol=None) -> tuple[SchurResult, int, int, dict[
     result = _complement(M, w, U, V, t)
     S, Y = result.S, result.complement
     range_A = subspace_from_columns(M, t) if U is None else Subspace(U[:, _pinv_rule(t)(np.abs(w))])
-    # S is exactly Hermitian in every branch: its PSD verdict needs no Hermitian test
-    w_S = w if U is None else _lapack("eigvalsh", S)
-    rank_S = int(np.count_nonzero(_pinv_rule(t)(np.abs(w_S))))
-    cap_dim = range_A.dim + V.dim - numerical_rank(np.hstack([M, V.basis]), t)
+    if V.dim == 0:
+        # S = 0, and ran A meets V = 0 in 0
+        rank_S, S_psd, cap_dim = 0, True, 0
+    else:
+        # S is exactly Hermitian in every branch: its PSD verdict needs no Hermitian test
+        w_S = w if U is None else _lapack("eigvalsh", S)
+        rank_S = int(np.count_nonzero(_pinv_rule(t)(np.abs(w_S))))
+        S_psd = _psd_floor(w_S, t)
+        cap_dim = range_A.dim + V.dim - numerical_rank(np.hstack([M, V.basis]), t)
     checks = {
-        "S_psd": _psd_floor(w_S, t),
+        "S_psd": S_psd,
         "S_leq_A": loewner_leq(S, M, t),
         "range_S_in_V": V.contains(S, t),
         "range_S_in_range_A": range_A.contains(S, t),

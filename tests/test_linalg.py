@@ -21,7 +21,7 @@ from momentschur import (
 )
 from momentschur.linalg import (
     _hermitian,
-    _psd_root,
+    _root_factor,
     _Spectrum,
     as_matrix,
     as_tolerance,
@@ -32,8 +32,9 @@ from momentschur.linalg import (
 
 
 def root(A):
-    """The PSD square root ``schur_complement`` takes, from numpy's eigh of A."""
-    return _psd_root(*np.linalg.eigh(A), Tolerance())
+    """The PSD square root F Ur^H that ``schur_complement`` factors, from numpy's eigh of A."""
+    Ur, F = _root_factor(*np.linalg.eigh(A), Tolerance())
+    return F @ Ur.conj().T
 
 
 class TestTolerance:

@@ -18,6 +18,7 @@ from momentschur import (
     Subspace,
     Tolerance,
     decompose,
+    fiber_projector,
     in_lcr,
     is_unique_split,
     loewner_leq,
@@ -31,6 +32,7 @@ from momentschur import (
 from momentschur import cli
 from momentschur.linalg import (
     _rank_sum_holds,
+    _root_factor,
     as_matrix,
     frobenius,
     herm_part,
@@ -88,6 +90,37 @@ class TestSchurComplement:
         unit = np.diag([1.0, 0.0])
         assert not range_included(unit, V.basis)
         np.testing.assert_allclose(schur_complement(unit, V).S, np.zeros((2, 2)), atol=1e-15)
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_the_route_on_ran_a_matches_the_defining_formula(self, q):
+        # the defining route: the q x q root, fiber_projector and root psi root;
+        # at d = q, S is A itself, not the root's square with its band flattened
+        eps = np.finfo(float).eps
+        for r in range(q + 1):
+            for d in range(q):
+                for k in range(3):
+                    A, V = report_case(np.random.default_rng([q, r, d, k]), q, d, r)
+                    result = schur_complement(A, V, T)
+                    Ur, F = _root_factor(*np.linalg.eigh(herm_part(A)), T)
+                    root = F @ Ur.conj().T
+                    psi = fiber_projector(root, V, T)
+                    assert frobenius(result.S - root @ psi @ root) <= 64 * eps * max(1.0, frobenius(A))
+                    if d:
+                        # at d = 0 the projector is I - A A^+, by pinv's rank
+                        # rule on A rather than fiber_projector's on its root
+                        assert frobenius(result.P_fiber - psi) <= 1e3 * eps
+                    # S is a Gram product: PSD up to the eigensolver's rounding
+                    assert np.linalg.eigvalsh(result.S)[0] >= -4 * eps * frobenius(result.S)
+
+    def test_a_rank_one_a_makes_its_one_svd_on_ran_a(self, monkeypatch):
+        # q = 16, rank A = 1, dim V = 8: the fiber's SVD factorizes the
+        # 16 x 1 matrix (I - P_V) F, where the defining route's is 16 x 16
+        rng = np.random.default_rng(17)
+        A, V = random_psd(rng, 16, 1), random_subspace(rng, 16, 8)
+        shapes, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda M, *a, **kw: shapes.append(M.shape) or svd(M, *a, **kw))
+        schur_complement(A, V)
+        assert shapes == [(16, 1)]
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotPSD):
@@ -376,9 +409,9 @@ def recomputed_report(A, V, t):
     return result, range_A.dim, rank_S, checks
 
 
-def report_case(rng, q, d):
-    """A PSD A of random rank and scale, and V spanned by columns partly drawn from ran A."""
-    r = int(rng.integers(0, q + 1))
+def report_case(rng, q, d, r=None):
+    """A PSD A of rank r (random if None) and random scale, and V spanned by columns partly drawn from ran A."""
+    r = int(rng.integers(0, q + 1)) if r is None else r
     G = random_complex(rng, q, r)
     # a third of the spectra spread over four decades
     w = 10.0 ** rng.uniform(-4, 0, r) if rng.random() < 1 / 3 else rng.uniform(0.1, 1, r)
@@ -401,12 +434,23 @@ class TestSchurReport:
                     assert np.array_equal(getattr(result, name), getattr(expected[0], name))
                 assert (rank_A, rank_S, checks) == expected[1:], (q, d, k)
 
-    @pytest.mark.parametrize("tol", [1e-10, 1e-16])
-    def test_failed_checks_are_those_of_the_reference(self, tol):
-        # V holds e1 + 1e-7 e2, close to A's dominant eigenvector e1 but not
-        # on it: some of the identities fail numerically
-        A = np.diag([1e6, 1.0, 0.0])
-        V = subspace_from_columns(np.array([[1.0, 1.0], [1e-7, 0.0], [0.0, 1.0]]))
+    @pytest.mark.parametrize(
+        "tol, A, V",
+        [
+            # ran A is V, at scale 1.5e6: A - S is rounding noise, whose rank
+            # at its own scale is 5, so the remainder's rank-sum test fails
+            pytest.param(1e-10, *report_case(np.random.default_rng([6, 4, 3]), 6, 4), id="1e-10"),
+            # V holds e1 + 1e-7 e2, close to A's dominant eigenvector e1 but
+            # not on it: at this tolerance the near miss counts
+            pytest.param(
+                1e-16,
+                np.diag([1e6, 1.0, 0.0]),
+                subspace_from_columns(np.array([[1.0, 1.0], [1e-7, 0.0], [0.0, 1.0]])),
+                id="1e-16",
+            ),
+        ],
+    )
+    def test_failed_checks_are_those_of_the_reference(self, tol, A, V):
         report = schur_report(A, V, tol)
         assert not all(report[3].values())
         assert report[1:] == recomputed_report(A, V, tol)[1:]
@@ -415,8 +459,9 @@ class TestSchurReport:
         "name, expected",
         [
             ("schur_in.json", Counter(svd=5, eigvalsh=2, eigh=1)),
-            # V = 0: no SVD builds V's basis, and none tests the remainder
-            ("schur_in_zero.json", Counter(svd=1, eigvalsh=2, eigh=1)),
+            # V = 0: S = 0, so rank S, S_psd and the cap dimension need no
+            # factorization, no SVD builds V's basis and none tests the remainder
+            ("schur_in_zero.json", Counter(eigvalsh=1, eigh=1)),
             # V = C^q: schur_complement's eigvalsh of A = S gives rank S and
             # S_psd, an SVD gives ran A, and the remainder is 0
             ("schur_in_full.json", Counter(svd=3, eigvalsh=2)),
