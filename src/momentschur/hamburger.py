@@ -47,6 +47,7 @@ from .linalg import (
     _loewner_between,
     _loewner_leq,
     _rank_sum_holds,
+    _rebuilt,
     _skew_within,
     as_matrix,
     as_tolerance,
@@ -56,7 +57,7 @@ from .linalg import (
     pinv,
     psd_verdict,
 )
-from .schur import schur_complement
+from .schur import _complement
 
 
 class MomentSequence:
@@ -278,14 +279,14 @@ class Tower:
     A tower keeps every quantity it computes that depends on the sequence,
     the tolerance and alpha alone: each Theta_k of both towers, the shift,
     every Hankel verdict, extendability verdict and R_m, one ``_Spectrum``
-    record per slack (one eigendecomposition serves its clip and its range
-    at every scale), the Hermitian part and norm of each interval end that
-    passed the Hermitian test (a failed test is not kept), and, once a
-    report needs them, ``kappa_stack`` and ``u_stack``: the slacks and lower
-    ends a report shows, one stack each, which a report copies whole.  Kept
-    arrays are read-only or private to their record; the arrays a tower
-    hands out are fresh, writable copies (the blocks of the sequence itself
-    stay read-only).
+    record per slack (one eigendecomposition serves its clip, its range and
+    R_m's Schur step at every scale), the Hermitian part and norm of each
+    interval end that passed the Hermitian test (a failed test is not kept),
+    and, once a report needs them, ``kappa_stack`` and ``u_stack``: the
+    slacks and lower ends a report shows, one stack each, which a report
+    copies whole.  Kept arrays are read-only or private to their record; the
+    arrays a tower hands out are fresh, writable copies (the blocks of the
+    sequence itself stay read-only).
     The README's "One engine for both moment problems" sets out u, kappa and R.
     """
 
@@ -351,9 +352,10 @@ class Tower:
             )
         return self.s.kappa
 
-    def _theta(self, k: int, shifted: bool = False) -> Array:
-        if (shifted, k) not in self._thetas:
-            s = self.shift if shifted else self.s
+    def _theta(self, j: int) -> Array:
+        # the Theta inside kappa_j: Theta_{j//2} of s at even j, of the shift at odd j
+        if j not in self._thetas:
+            s, k = self.shift if j % 2 else self.s, j // 2
             # Theta_k reads s_0..s_{2k-1}, and its pinv cannot factor a NaN or
             # an inf: no number stands for it.  The block norms, NaN exactly
             # for such a block, tell without another pass over the blocks
@@ -361,24 +363,22 @@ class Tower:
                 value = np.full((s.q, s.q), np.nan, dtype=complex)
             else:
                 value = theta(s, k, self.t)
-            self._thetas[shifted, k] = _frozen(value)
-        return self._thetas[shifted, k]
+            self._thetas[j] = _frozen(value)
+        return self._thetas[j]
 
     def u(self, j: int) -> Array:
         """u_j, the lowest admissible block at index j + 1; u_{-1} = 0."""
         if j == -1:
             return np.zeros((self.s.q, self.s.q), dtype=complex)
         if j % 2 == 1:
-            return self._theta((j + 1) // 2).copy()
+            return self._theta(j + 1).copy()
         # complex128 like the shift's blocks, whatever the type of alpha
         base = (self.alpha * self.s.stack[j]).astype(complex, copy=False)
-        return base if j == 0 else base + self._theta(j // 2, shifted=True)
+        return base if j == 0 else base + self._theta(j + 1)
 
     def kappa(self, j: int) -> Array:
         """kappa_j: L_{j/2} of s for even j, L_{(j-1)/2} of the shift for odd j."""
-        if j % 2 == 0:
-            return self.s.stack[j] - self._theta(j // 2)
-        return self.shift.stack[j - 1] - self._theta((j - 1) // 2, shifted=True)
+        return (self.shift.stack[j - 1] if j % 2 else self.s.stack[j]) - self._theta(j)
 
     def _report_levels(self) -> range:
         # the slack indices j a report shows: every one on the half line, the
@@ -423,13 +423,15 @@ class Tower:
             self._spectra[j] = _Spectrum(self.kappa(j))
         return self._spectra[j]
 
-    def _clipped(self, m: int) -> tuple[Array, Subspace]:
+    def _clipped(self, m: int) -> tuple[Array, Array, Array, Subspace]:
         # kappa_m and kappa_{m-step} are differences at the block scale of
         # s_0..s_m and carry its rounding noise, not noise at their own
         # (possibly tiny) norm: kappa_m's clip and ran kappa_{m-step} are
-        # both taken at that scale
+        # both taken at that scale.  (clip, w, U, V): kappa_m's clip with the
+        # banded eigenvalues and eigenvectors it is built from, and V
         scale, t = self._scale(self._sizes[m]), self.t
-        return self._spectrum(m).clip(scale, t), self._spectrum(m - self.step).range(scale, t)
+        w, U = self._spectrum(m)._band(scale, t)
+        return _rebuilt(w, U), w, U, self._spectrum(m - self.step).range(scale, t)
 
     def nnde(self, m: int) -> bool:
         """Is s_0..s_m a section of a longer nonnegative definite sequence?
@@ -454,7 +456,7 @@ class Tower:
         if not self.nnde(m - 1):
             return False
         try:
-            k_m, V = self._clipped(m)
+            k_m, *_, V = self._clipped(m)
         except (NotPSD, NotHermitian):
             return False
         return V.contains(k_m, self.t)
@@ -474,8 +476,9 @@ class Tower:
         if m == 0:
             return self.s.stack[0]
         if m not in self._rs:
-            k_m, V = self._clipped(m)
-            self._rs[m] = _frozen(self.u(m - 1) + schur_complement(k_m, V, self.t).S)
+            # the clip is PSD and exactly Hermitian, and its record holds its
+            # factorization: the Schur step neither tests nor factorizes it again
+            self._rs[m] = _frozen(self.u(m - 1) + _complement(*self._clipped(m), self.t).S)
         return self._rs[m]
 
     def member(self, t_last, bound: str) -> bool:

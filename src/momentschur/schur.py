@@ -23,7 +23,6 @@ from .linalg import (
     Array,
     Subspace,
     _checked,
-    _inverse,
     _lapack,
     _loewner_leq,
     _pinv_rule,
@@ -89,29 +88,30 @@ def schur_complement(A, V: Subspace, tol=None) -> SchurResult:
 
 
 def _complement(M, w, U, V: Subspace, t) -> SchurResult:
-    """S(M, V) from ``_validated_psd``'s M, w and U (U may be None only when V = C^q)."""
+    """S(M, V) from M's ascending eigenvalues w and eigenvectors U (None only when V = C^q).
+
+    ``_validated_psd`` gives M, w and U; a tower slack's ``_Spectrum`` record
+    gives its clip with the banded w and U the clip is built from.  Below
+    V = C^q every branch reads the one ``_root_factor(w, U, t)``: at V = 0
+    the fiber is null M, so P_fiber is I - Ur Ur^H and S the empty Gram
+    product.
+    """
     q = M.shape[0]
-    d = V.dim
-    if d == 0:
-        # S(A, {0}) = 0 and the fiber of sqrt(A) is null A: psi = I - M M^+
-        psi = herm_part(np.eye(q) - herm_part(M @ _inverse(U, w, U, _pinv_rule(t))))
-        S = np.zeros((q, q), dtype=complex)
-    elif d == q:
-        psi = np.eye(q, dtype=complex)
-        S = M
-    else:
-        # sqrt(A) = F Ur^H, so N = (I - P_V) sqrt(A) = K Ur^H with K = (I - P_V) F,
-        # q x rank A: the fiber is null N, whose complement is Ur times K's row
-        # space, and S = F (I - Z Z^H) F^H for Z that row space's basis
-        Ur, F = _root_factor(w, U, t)
+    if V.dim == q:
+        return SchurResult(S=M, P_fiber=np.eye(q, dtype=complex), complement=M - M)
+    # sqrt(A) = F Ur^H, so N = (I - P_V) sqrt(A) = K Ur^H with K = (I - P_V) F,
+    # q x rank A: the fiber is null N, whose complement is Ur times K's row
+    # space, and S = F (I - Z Z^H) F^H for Z that row space's basis
+    Ur, F = _root_factor(w, U, t)
+    X, G = Ur, F[:, :0]
+    if V.dim:
         norm = frobenius(F)
         _, s, Zh = _lapack("svd", F - V.basis @ (V.basis.conj().T @ F), full_matrices=False)
         # fiber_projector's rule: K's singular values are N's, judged at A's scale
         kept = s * norm > t.threshold(norm * norm)
         X, G = Ur @ Zh[kept].conj().T, F @ Zh[~kept].conj().T
-        psi = herm_part(np.eye(q) - X @ X.conj().T)
-        S = herm_part(G @ G.conj().T)
-    return SchurResult(S=S, P_fiber=psi, complement=M - S)
+    S = herm_part(G @ G.conj().T)
+    return SchurResult(S=S, P_fiber=herm_part(np.eye(q) - X @ X.conj().T), complement=M - S)
 
 
 def schur_report(A, V: Subspace, tol=None) -> tuple[SchurResult, int, int, dict[str, bool]]:
@@ -120,9 +120,9 @@ def schur_report(A, V: Subspace, tol=None) -> tuple[SchurResult, int, int, dict[
     The checks test the identities S(A, V) obeys, by name.  S is built
     from the factorization ``schur_complement`` takes, so the report raises
     where it raises, and the report reads what it holds.  When V is not the
-    whole space that is an ``eigh`` of A: rank A and ran A are the
-    eigenvectors whose |w| passes ``numerical_rank``'s rule, and rank S and
-    ``S_psd`` come from one ``eigvalsh`` of S.  When V = C^q it is an
+    whole space that is an ``eigh`` of A: ran A is the Ur of
+    ``_root_factor``, the basis S is built on, and rank A its dimension;
+    rank S and ``S_psd`` come from one ``eigvalsh`` of S.  When V = C^q it is an
     ``eigvalsh`` of A = S, which gives rank S and ``S_psd``, and ran A
     takes an SVD of A.  When V = 0, S is 0 and ran A meets V only in 0,
     so rank S is 0, ``S_psd`` holds and dim(ran A ∩ V) is 0, with no
@@ -138,7 +138,7 @@ def schur_report(A, V: Subspace, tol=None) -> tuple[SchurResult, int, int, dict[
     M, w, U = _validated_psd(A, V, t, vectors=V.dim < V.ambient_dim)
     result = _complement(M, w, U, V, t)
     S, Y = result.S, result.complement
-    range_A = subspace_from_columns(M, t) if U is None else Subspace(U[:, _pinv_rule(t)(np.abs(w))])
+    range_A = subspace_from_columns(M, t) if U is None else Subspace(_root_factor(w, U, t)[0])
     if V.dim == 0:
         # S = 0, and ran A meets V = 0 in 0
         rank_S, S_psd, cap_dim = 0, True, 0

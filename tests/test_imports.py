@@ -1,12 +1,15 @@
-"""Every name a module of the package imports is used in that module, and
-every function or class a module defines has a caller in the package.
+"""Every name a module of the package imports is used in that module,
+every function or class a module defines has a caller in the package, and
+the package stays within its code-line ceiling.
 
 ``__init__.py`` is left out of the import check: it imports names to
 re-export them.  A name it lists in ``__all__`` counts as called.
 """
 
 import ast
+import io
 from pathlib import Path
+import tokenize
 
 import pytest
 
@@ -92,3 +95,42 @@ def test_the_cli_imports_no_private_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+# ROADMAP item 6's ceiling on the code lines of src/.  Raising it needs a
+# row in item 6's ledger and a line in CHANGES.md
+CODE_LINE_CEILING = 1278
+
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """Lines holding a token other than layout and comments, outside the
+    string statements that stand alone (docstrings)."""
+    docstrings = {
+        line
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+    lines = {
+        line
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type not in _LAYOUT
+        for line in range(tok.start[0], tok.end[0] + 1)
+    }
+    return len(lines - docstrings)
+
+
+def test_the_count_leaves_out_docstrings_comments_and_blanks():
+    source = (
+        'def f(x):\n    """Doc\n    string."""\n\n    # comment\n'
+        '    y = """not a\n    docstring"""\n    return (x,\n            y)  # trailing\n'
+    )
+    assert code_lines(source) == 5
+
+
+def test_src_stays_within_its_code_line_ceiling():
+    assert sum(code_lines(p.read_text()) for p in SOURCES) <= CODE_LINE_CEILING

@@ -335,16 +335,44 @@ def _four_atom_sequence():
 def test_one_eigh_per_slack_serves_every_scale(factorizations):
     # kappa_j is clipped as level j's slack, and its range is taken as level
     # j + 1's previous slack, at a larger scale: one eigh serves both, and
-    # the range needs no SVD or pseudo-inverse of its own
+    # the range needs no SVD or pseudo-inverse of its own.  R_m's Schur step
+    # reads kappa_m's eigh too: 11 slack records, 9 in Theta's pinv
     M.classify_stieltjes(_four_atom_sequence(), 0.5)
-    assert factorizations["eigh"] == 21
+    assert factorizations["eigh"] == 20
     assert factorizations["svd"] == 0
-    assert sum(factorizations.values()) == 24
+    assert sum(factorizations.values()) == 23
 
 
 def test_a_hamburger_classify_takes_each_range_from_its_slack_spectrum(factorizations):
     M.classify_hamburger(_four_atom_sequence())
-    assert factorizations == Counter(eigh=5, eigvalsh=2)
+    assert factorizations == Counter(eigh=4, eigvalsh=2)
+
+
+def test_r_reads_the_slack_record_as_the_public_schur_complement_would():
+    # R_m hands kappa_m's banded eigh to the Schur layer; the public route
+    # tests and factorizes the clip again.  The two eigenbases differ in
+    # rounding only: within 16 eps at the working scale where
+    # 0 < dim ran kappa_{m-step} < q (worst on this stream: 5.4 eps)
+    t, eps = Tolerance(), np.finfo(float).eps
+    rng = np.random.default_rng(23)
+    checked = 0
+    for _ in range(25):
+        for q in (2, 3):
+            for length in (5, 7, 9):
+                alpha = float(rng.choice([-1.0, 0.5]))
+                for s, a in ((hamburger_measure_sequence(rng, q, length, max_rank=1), None),
+                             (stieltjes_measure_sequence(rng, alpha, q, length, max_rank=1), alpha)):
+                    tower = Tower(s, t, a)
+                    for m in range(tower.step, s.kappa + 1, tower.step):
+                        scale = tower._scale(tower._sizes[m])
+                        V = tower._spectrum(m - tower.step).range(scale, t)
+                        if not (tower.nnd(m) and 0 < V.dim < q):
+                            continue
+                        clip = tower._spectrum(m).clip(scale, t)
+                        public = tower.u(m - 1) + M.schur_complement(clip, V, t).S
+                        assert frobenius(tower.r(m) - public) <= 16 * eps * scale
+                        checked += 1
+    assert checked > 200, checked
 
 
 def _stream():

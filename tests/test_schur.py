@@ -8,7 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import psd_root, random_complex, random_contraction, random_psd, random_subspace
+from conftest import (
+    psd_root,
+    random_complex,
+    random_contraction,
+    random_psd,
+    random_subspace,
+    random_unitary,
+)
 
 from momentschur import (
     DimensionMismatch,
@@ -105,12 +112,23 @@ class TestSchurComplement:
                     root = F @ Ur.conj().T
                     psi = fiber_projector(root, V, T)
                     assert frobenius(result.S - root @ psi @ root) <= 64 * eps * max(1.0, frobenius(A))
-                    if d:
-                        # at d = 0 the projector is I - A A^+, by pinv's rank
-                        # rule on A rather than fiber_projector's on its root
-                        assert frobenius(result.P_fiber - psi) <= 1e3 * eps
+                    assert frobenius(result.P_fiber - psi) <= 1e3 * eps
                     # S is a Gram product: PSD up to the eigensolver's rounding
                     assert np.linalg.eigvalsh(result.S)[0] >= -4 * eps * frobenius(result.S)
+
+    def test_the_fiber_of_a_full_rank_a_over_zero_is_zero(self):
+        # null A = 0: P_fiber is I - Ur Ur^H, with Ur every eigenvector, and
+        # holds rounding alone, however ill-conditioned A is (cond up to 1e7)
+        eps = np.finfo(float).eps
+        for i in range(50):
+            rng = np.random.default_rng([21, i])
+            q = int(rng.integers(2, 9))
+            w = np.logspace(0, -rng.uniform(3, 7), q) * 10 ** rng.uniform(-2, 3)
+            U = random_unitary(rng, q)
+            A = herm_part((U * w) @ U.conj().T)
+            result = schur_complement(A, Subspace.zero(q), T)
+            assert frobenius(result.P_fiber) <= 64 * eps
+            assert not result.S.any()
 
     def test_a_rank_one_a_makes_its_one_svd_on_ran_a(self, monkeypatch):
         # q = 16, rank A = 1, dim V = 8: the fiber's SVD factorizes the
