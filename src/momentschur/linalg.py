@@ -356,6 +356,24 @@ class Subspace:
             raise DimensionMismatch("row counts differ")
         return frobenius(M - self.basis @ (self.basis.conj().T @ M)) <= t.threshold(frobenius(M))
 
+    def meets_trivially(self, B, tol=None, scale: float = 0.0) -> bool:
+        """ran B meets this subspace only in 0: rank (B - Q (Q^H B)) = rank B.
+
+        For the orthonormal basis Q, rank [B Q] = dim + rank((I - Q Q^H) B),
+        so this is the rank-sum test with no SVD of [B Q].  Both ranks come
+        from one values-only SVD of the stack [B, B - Q (Q^H B)] and are cut
+        at one threshold, threshold(max(scale, sigma_max(B))).  B with no
+        nonzero entry, or the zero subspace, passes with no SVD.
+        """
+        M = as_matrix(B)
+        if M.shape[0] != self.ambient_dim:
+            raise DimensionMismatch("row counts differ")
+        if not (self.dim and M.any()):
+            return True
+        s = _lapack("svd", np.stack([M, M - self.basis @ (self.basis.conj().T @ M)]), compute_uv=False)
+        thr = as_tolerance(tol).threshold(max(scale, s[0, 0]))
+        return bool(np.count_nonzero(s[0] > thr) == np.count_nonzero(s[1] > thr))
+
     def complement(self) -> "Subspace":
         """The orthogonal complement: the last q - d columns of a complete QR of the basis."""
         return Subspace(_lapack("qr", self.basis, mode="complete")[0][:, self.dim:])
@@ -456,17 +474,15 @@ def ranges_intersect_trivially(A, B, tol=None) -> bool:
     return _rank_sum_holds(MA, numerical_rank(MA, t), MB, numerical_rank(MB, t), t)
 
 
-def _rank_sum_holds(A: Array, rank_a, B: Array, rank_b: int, t: Tolerance) -> bool:
+def _rank_sum_holds(A: Array, rank_a: int, B: Array, rank_b: int, t: Tolerance) -> bool:
     """rank [A B] = rank_a + rank_b: given the ranks of A and B, ran A meets ran B only in 0.
 
-    A rank_a of None is ``numerical_rank``'s, taken only when needed.  A or B
-    with no nonzero entry passes: [A B] is then the other plus zero columns.
-    A rank sum above the row count fails: [A B] has no larger rank.  Else one
-    values-only SVD of [A B] decides.
+    A or B with no nonzero entry passes: [A B] is then the other plus zero
+    columns.  A rank sum above the row count fails: [A B] has no larger
+    rank.  Else one values-only SVD of [A B] decides.
     """
     if not (A.any() and B.any()):
         return True
-    rank_a = numerical_rank(A, t) if rank_a is None else rank_a
     if rank_a + rank_b > A.shape[0]:
         return False
     return numerical_rank(np.hstack([A, B]), t) == rank_a + rank_b

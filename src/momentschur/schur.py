@@ -24,10 +24,8 @@ from .linalg import (
     Subspace,
     _checked,
     _lapack,
-    _loewner_leq,
     _pinv_rule,
     _psd_floor,
-    _rank_sum_holds,
     _root_factor,
     as_matrix,
     as_tolerance,
@@ -131,8 +129,12 @@ def schur_report(A, V: Subspace, tol=None) -> tuple[SchurResult, int, int, dict[
     ``numerical_rank``'s SVD.  Three checks stay independent of the
     computation they check: ``S_leq_A`` takes its own ``eigvalsh`` of
     A - S; dim(ran A ∩ V) is rank A + dim V - rank [A V], by one
-    values-only SVD of A beside V's basis; and the remainder's rank-sum
-    test factorizes A - S beside V's basis.
+    values-only SVD of A beside V's basis; and the remainder's range meets
+    V only in 0 when rank((I - P_V)(A - S)) = rank(A - S), by
+    ``Subspace.meets_trivially``'s one values-only SVD of a (2, q, q)
+    stack.  A - S is a difference at A's scale, so both ranks are cut at
+    threshold(max(||A||_F, sigma_max(A - S))): where ran A lies in V, A - S
+    is rounding noise, and its rank is 0, not its rank at its own norm.
     """
     t = as_tolerance(tol)
     M, w, U = _validated_psd(A, V, t, vectors=V.dim < V.ambient_dim)
@@ -154,7 +156,7 @@ def schur_report(A, V: Subspace, tol=None) -> tuple[SchurResult, int, int, dict[
         "range_S_in_V": V.contains(S, t),
         "range_S_in_range_A": range_A.contains(S, t),
         "rank_S_is_dim_of_range_A_cap_V": rank_S == cap_dim,
-        "complement_range_meets_V_trivially": _rank_sum_holds(Y, None, V.basis, V.dim, t),
+        "complement_range_meets_V_trivially": V.meets_trivially(Y, t, frobenius(M)),
     }
     return result, range_A.dim, rank_S, checks
 
@@ -186,13 +188,20 @@ def variational_value(A, V: Subspace, x, tol=None) -> float:
 
     With W an orthonormal basis of V-perp the minimum equals
     x^H A x - (W^H A x)^H (W^H A W)^+ (W^H A x); it is attained because A is
-    PSD, and it equals x^H S(A,V) x.
+    PSD, and it equals x^H S(A,V) x.  At V = 0, V-perp is C^q and y = x
+    attains 0, so after the checks on A and on x's length nothing is
+    factorized.  An x with a NaN or an inf entry gives NaN at every dim V,
+    with no warning.
     """
     t = as_tolerance(tol)
     M = _validated_psd(A, V, t)[0]
     v = np.asarray(x, dtype=complex).reshape(-1)
     if v.shape[0] != M.shape[0]:
         raise DimensionMismatch(f"x has length {v.shape[0]}, expected {M.shape[0]}")
+    if not np.isfinite(v).all():
+        return np.nan
+    if V.dim == 0:
+        return 0.0
     total = float(np.real(v.conj() @ M @ v))
     if V.dim == M.shape[0]:
         return max(total, 0.0)
@@ -214,12 +223,24 @@ def in_lcr(A, V: Subspace, X, tol=None) -> bool:
     if V.ambient_dim != MA.shape[0]:
         raise DimensionMismatch("V has the wrong ambient dimension")
     a, x = [_checked(M, t, "in_lcr requires Hermitian A and X") for M in (MA, MX)]
-    psd = _psd_floor(_lapack("eigvalsh", x[0]), t)
-    return psd and _loewner_leq(x, a, t) and V.contains(MX, t)
+    # one eigvalsh of X and A - X stacked: X floored at its own spectral
+    # radius, A - X at the larger operand norm, as loewner_leq floors it
+    w = _lapack("eigvalsh", np.stack([x[0], a[0] - x[0]]))
+    return _psd_floor(w[0], t) and _psd_floor(w[1], t, max(x[1], a[1])) and V.contains(MX, t)
 
 
 def decompose(A, V: Subspace, tol=None) -> tuple[Array, Array]:
-    """The unique split A = X + Y with ran X inside V and ran Y meeting V in 0."""
+    """The unique split A = X + Y with ran X inside V and ran Y meeting V in 0.
+
+    At V = 0 the split is (0, A), and A's PSD verdict is the ``eigvalsh``
+    that ``schur_complement_via_basis`` takes, not ``schur_complement``'s
+    ``eigh``: at the exact tolerance boundary their smallest eigenvalues
+    differ by a few ulps, so the two may decide otherwise there, as the
+    block route already may.
+    """
+    if V.dim == 0:
+        M = _validated_psd(A, V, as_tolerance(tol))[0]
+        return np.zeros_like(M), M
     result = schur_complement(A, V, tol)
     return result.S, result.complement
 
@@ -228,7 +249,12 @@ def is_unique_split(A, V: Subspace, X, Y, tol=None) -> bool:
     """Does (X, Y) satisfy the conditions that single out decompose's output?
 
     True iff ran X lies in V and ran Y meets V only in 0.  For PSD X, Y with
-    X + Y = A this holds exactly when (X, Y) = decompose(A, V).
+    X + Y = A this holds exactly when (X, Y) = decompose(A, V).  The second
+    condition is rank((I - P_V) Y) = rank Y (``Subspace.meets_trivially``),
+    both ranks from one values-only SVD of a (2, q, q) stack and cut at Y's
+    own scale, threshold(sigma_max(Y)): Y comes from the caller, so no
+    other scale is known to be its.  Y with no nonzero entry, or V = 0,
+    needs no SVD.
     """
     t = as_tolerance(tol)
     MA = as_matrix(A)
@@ -241,5 +267,4 @@ def is_unique_split(A, V: Subspace, X, Y, tol=None) -> bool:
     # a NaN fails the check too, before any rank shortcut can pass it
     if not frobenius(MX + MY - MA) <= t.threshold(frobenius(MA)):
         raise SplitInvalid("X + Y does not reconstruct A within tolerance")
-    # an orthonormal basis has rank V.dim
-    return V.contains(MX, t) and _rank_sum_holds(MY, None, V.basis, V.dim, t)
+    return V.contains(MX, t) and V.meets_trivially(MY, t)

@@ -280,12 +280,12 @@ def test_complement_is_one_qr_of_the_basis(factorizations, d):
     assert factorizations == Counter(qr=1)
 
 
-# V = 0 and V = C^3 leave via_basis no complement to take; the variational
-# value needs none when V = C^3 only
+# V = 0 and V = C^3 leave via_basis no complement to take, and the
+# variational value none either: at V = 0 the minimum over V-perp = C^3 is 0
 @pytest.mark.parametrize(
     "d, via_basis, variational",
     [
-        (0, Counter(eigvalsh=1), Counter(eigvalsh=1, qr=1, eigh=1)),
+        (0, Counter(eigvalsh=1), Counter(eigvalsh=1)),
         (1, Counter(eigvalsh=1, qr=1, eigh=1), Counter(eigvalsh=1, qr=1, eigh=1)),
         (2, Counter(eigvalsh=1, qr=1, eigh=1), Counter(eigvalsh=1, qr=1, eigh=1)),
         (3, Counter(eigvalsh=1), Counter(eigvalsh=1)),
@@ -299,8 +299,36 @@ def test_block_routes_complete_the_basis_by_one_qr(factorizations, d, via_basis,
     M.schur_complement_via_basis(A, V)
     assert factorizations == via_basis
     factorizations.clear()
-    M.variational_value(A, V, np.ones(3))
+    value = M.variational_value(A, V, np.ones(3))
     assert factorizations == variational
+    assert d or value == 0.0
+
+
+@pytest.mark.parametrize("d", [0, 1, 3])
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_a_non_finite_x_has_variational_value_nan_without_a_warning(d, entry):
+    rng = np.random.default_rng(9)
+    A = random_psd(rng, 3, 3)
+    V = random_subspace(rng, 3, d)
+    x = np.ones(3)
+    x[1] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(M.variational_value(A, V, x))
+
+
+def test_decompose_at_zero_is_the_psd_verdict_and_schur_complement_bit_for_bit(factorizations):
+    # (0, A): only the PSD verdict factorizes, by one eigvalsh, where
+    # schur_complement takes an eigh for the P_fiber decompose discards
+    for q in (1, 3, 8):
+        A = random_psd(np.random.default_rng(q), q, q - 1)
+        V = M.Subspace.zero(q)
+        factorizations.clear()
+        X, Y = M.decompose(A, V)
+        assert factorizations == Counter(eigvalsh=1)
+        result = M.schur_complement(A, V)
+        assert np.array_equal(X, result.S) and np.array_equal(Y, result.complement)
+        assert X.dtype == result.S.dtype and Y.dtype == result.complement.dtype
 
 
 @pytest.mark.parametrize("d", [0, 1, 64, 127, 128])
@@ -408,24 +436,44 @@ def test_the_range_of_a_slack_has_the_rank_of_its_clip():
 
 def test_range_verdicts_factorize_no_orthonormal_basis(factorizations):
     # V.contains projects with V's basis: in_lcr makes only its two PSD
-    # verdicts, and is_unique_split only the rank-sum test's two SVDs, of Y
-    # and of [Y, basis]: the basis has rank V.dim
+    # verdicts, stacked in one eigvalsh, and is_unique_split one SVD of Y
+    # and of its part in V-perp, stacked
     rng = np.random.default_rng(5)
     A = random_psd(rng, 3, 3)
     V = random_subspace(rng, 3, 2)
     X, Y = M.decompose(A, V)
     factorizations.clear()
     assert M.in_lcr(A, V, X)
-    assert factorizations == Counter(eigvalsh=2)
+    assert factorizations == Counter(eigvalsh=1)
     factorizations.clear()
     assert M.is_unique_split(A, V, X, Y)
-    assert factorizations == Counter(svd=2)
+    assert factorizations == Counter(svd=1)
+
+
+def test_a_unique_split_factorizes_one_q_by_q_stack(monkeypatch):
+    # rank [Y, Q] = dim V + rank((I - P_V) Y): no SVD of the q x (q + dim V)
+    # matrix [Y, Q], one of the (2, q, q) stack of Y and its part in V-perp
+    shapes = []
+    real = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    rng = np.random.default_rng(7)
+    A = random_psd(rng, 16, 10)
+    V = random_subspace(rng, 16, 12)
+    X, Y = M.decompose(A, V)
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    assert M.is_unique_split(A, V, X, Y)
+    assert not M.is_unique_split(A, V, X - 1e-3 * V.projector(), Y + 1e-3 * V.projector())
+    assert shapes == [(2, 16, 16)] * 2
 
 
 @pytest.mark.parametrize("d, svd", [(0, 0), (3, 1)])
 def test_a_unique_split_at_a_trivial_subspace_needs_at_most_the_rank_of_y(factorizations, d, svd):
-    # V = 0: the basis has no entry, and [Y, basis] is Y.  V = C^3: Y = 1e-3 I
-    # has rank 3, and 3 + 3 > 3 rows fails without a stacked SVD
+    # V = 0: ran Y meets it only in 0, with no SVD.  V = C^3: one SVD of the
+    # stack of Y = 1e-3 I (rank 3) and its part in V-perp (rank 0)
     rng = np.random.default_rng(5)
     A = random_psd(rng, 3, 3)
     V = random_subspace(rng, 3, d)

@@ -38,9 +38,9 @@ from momentschur import (
 )
 from momentschur import cli
 from momentschur.linalg import (
-    _rank_sum_holds,
     _root_factor,
     as_matrix,
+    as_tolerance,
     frobenius,
     herm_part,
     numerical_rank,
@@ -403,14 +403,22 @@ class TestUniqueSplit:
             is_unique_split(np.eye(3), E1, np.eye(3), np.zeros((3, 3)))
 
 
+def _rank_above(M, thr):
+    return int(np.count_nonzero(np.linalg.svd(M, compute_uv=False) > thr)) if M.size else 0
+
+
 def recomputed_report(A, V, t):
     """The reference: schur_report's ranks and checks, each recomputed from scratch.
 
     ran A and every rank come from SVDs of their own, and S_psd from a PSD
     verdict on S, as the schur command once computed them beside the kernel.
+    The remainder Y = A - S meets V only in 0 when W^H Y, W a basis of
+    V-perp, has the rank of Y, both cut at A's scale.
     """
     result = schur_complement(A, V, t)
     M = herm_part(as_matrix(A))
+    Y = result.complement
+    thr = as_tolerance(t).threshold(max(frobenius(M), np.linalg.norm(Y, 2)))
     range_A = subspace_from_columns(M, t)
     rank_S = numerical_rank(result.S, t)
     cap_dim = range_A.dim + V.dim - numerical_rank(np.hstack([M, V.basis]), t)
@@ -420,8 +428,8 @@ def recomputed_report(A, V, t):
         "range_S_in_V": V.contains(result.S, t),
         "range_S_in_range_A": range_A.contains(result.S, t),
         "rank_S_is_dim_of_range_A_cap_V": rank_S == cap_dim,
-        "complement_range_meets_V_trivially": _rank_sum_holds(
-            result.complement, None, V.basis, V.dim, t
+        "complement_range_meets_V_trivially": (
+            _rank_above(V.complement().basis.conj().T @ Y, thr) == _rank_above(Y, thr)
         ),
     }
     return result, range_A.dim, rank_S, checks
@@ -452,20 +460,52 @@ class TestSchurReport:
                     assert np.array_equal(getattr(result, name), getattr(expected[0], name))
                 assert (rank_A, rank_S, checks) == expected[1:], (q, d, k)
 
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_a_correct_s_passes_every_check(self, q):
+        # the remainder A - S is a difference at A's scale and judged there:
+        # judged at its own norm, 12 of these 1760 reports held a false check
+        for d in range(q + 1):
+            for k in range(40):
+                A, V = report_case(np.random.default_rng([q, d, k, 99]), q, d)
+                checks = schur_report(A, V, T)[3]
+                assert all(checks.values()), ((q, d, k), checks)
+
+    @pytest.mark.parametrize("c", [1e-3, 1e-7])
+    def test_the_remainder_test_fails_a_wrong_split(self, c):
+        # (S - E, Y + E) with 0 != ran E inside V: judged at A's scale, as
+        # the report judges A - S, Y + E meets V, wherever E is above the
+        # floor (||A||_F >= 1 keeps c ||A||_F at least 1e3 thresholds)
+        checked = 0
+        for q in range(1, 9):
+            for d in range(1, q + 1):
+                for k in range(40):
+                    rng = np.random.default_rng([q, d, k, 99])
+                    A, V = report_case(rng, q, d)
+                    norm = frobenius(A)
+                    if norm < 1:
+                        continue
+                    v = V.basis @ random_complex(rng, d, 1)
+                    E = c * norm * (v @ v.conj().T) / np.vdot(v, v).real
+                    Y = schur_complement(A, V, T).complement
+                    assert V.meets_trivially(Y, T, norm)
+                    assert not V.meets_trivially(Y + E, T, norm), (q, d, k)
+                    checked += 1
+        assert checked > 500, checked
+
     @pytest.mark.parametrize(
         "tol, A, V",
         [
-            # ran A is V, at scale 1.5e6: A - S is rounding noise, whose rank
-            # at its own scale is 5, so the remainder's rank-sum test fails
-            pytest.param(1e-10, *report_case(np.random.default_rng([6, 4, 3]), 6, 4), id="1e-10"),
-            # V holds e1 + 1e-7 e2, close to A's dominant eigenvector e1 but
-            # not on it: at this tolerance the near miss counts
+            # A has norm 1.2e-5, below unit scale, where every threshold is
+            # the absolute 1e-10, and its spectrum reaches down to it: the
+            # fiber keeps rank S at 2 where dim(ran A ∩ V) is 3, and A - S
+            # keeps 7 singular values above the floor, its part in V-perp 6
             pytest.param(
-                1e-16,
-                np.diag([1e6, 1.0, 0.0]),
-                subspace_from_columns(np.array([[1.0, 1.0], [1e-7, 0.0], [0.0, 1.0]])),
-                id="1e-16",
+                1e-10, *report_case(np.random.default_rng([12, 4, 123, 7]), 12, 4), id="1e-10"
             ),
+            # a tolerance under machine epsilon: on a full-rank A at scale 15
+            # rounding counts, so S is 0 where dim(ran A ∩ V) is 1, and A - S
+            # meets V, in the report and the reference alike
+            pytest.param(1e-16, *report_case(np.random.default_rng([2, 1, 6]), 2, 1), id="1e-16"),
         ],
     )
     def test_failed_checks_are_those_of_the_reference(self, tol, A, V):
@@ -476,7 +516,7 @@ class TestSchurReport:
     @pytest.mark.parametrize(
         "name, expected",
         [
-            ("schur_in.json", Counter(svd=5, eigvalsh=2, eigh=1)),
+            ("schur_in.json", Counter(svd=4, eigvalsh=2, eigh=1)),
             # V = 0: S = 0, so rank S, S_psd and the cap dimension need no
             # factorization, no SVD builds V's basis and none tests the remainder
             ("schur_in_zero.json", Counter(eigvalsh=1, eigh=1)),
@@ -488,7 +528,7 @@ class TestSchurReport:
     def test_the_command_reads_the_factorization_s_is_built_from(self, factorizations, name, expected):
         # one SVD builds V's basis, one eigh of A builds S and gives ran A, one
         # eigvalsh of S gives rank S and S_psd; S_leq_A's eigvalsh, the SVD of
-        # [A V] and the remainder's rank-sum SVDs stay independent
+        # [A V] and the remainder's one SVD of a (2, q, q) stack stay independent
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["schur", str(GOLDEN / name)]) == 0
         assert factorizations == expected
