@@ -362,8 +362,11 @@ class Subspace:
         For the orthonormal basis Q, rank [B Q] = dim + rank((I - Q Q^H) B),
         so this is the rank-sum test with no SVD of [B Q].  Both ranks come
         from one values-only SVD of the stack [B, B - Q (Q^H B)] and are cut
-        at one threshold, threshold(max(scale, sigma_max(B))).  B with no
-        nonzero entry, or the zero subspace, passes with no SVD.
+        at one threshold, threshold(max(scale, sigma_max(B))).  The V-perp
+        count is capped at its exact bound q - dim, so rounding left inside V
+        never counts as rank and a rank B above it fails, as a rank sum above
+        the row count does.  B with no nonzero entry, or the zero subspace,
+        passes with no SVD.
         """
         M = as_matrix(B)
         if M.shape[0] != self.ambient_dim:
@@ -372,7 +375,8 @@ class Subspace:
             return True
         s = _lapack("svd", np.stack([M, M - self.basis @ (self.basis.conj().T @ M)]), compute_uv=False)
         thr = as_tolerance(tol).threshold(max(scale, s[0, 0]))
-        return bool(np.count_nonzero(s[0] > thr) == np.count_nonzero(s[1] > thr))
+        perp = min(np.count_nonzero(s[1] > thr), self.ambient_dim - self.dim)
+        return bool(np.count_nonzero(s[0] > thr) == perp)
 
     def complement(self) -> "Subspace":
         """The orthogonal complement: the last q - d columns of a complete QR of the basis."""

@@ -224,8 +224,12 @@ def in_lcr(A, V: Subspace, X, tol=None) -> bool:
         raise DimensionMismatch("V has the wrong ambient dimension")
     a, x = [_checked(M, t, "in_lcr requires Hermitian A and X") for M in (MA, MX)]
     # one eigvalsh of X and A - X stacked: X floored at its own spectral
-    # radius, A - X at the larger operand norm, as loewner_leq floors it
-    w = _lapack("eigvalsh", np.stack([x[0], a[0] - x[0]]))
+    # radius, A - X at the larger operand norm, as loewner_leq floors it;
+    # both are written into one empty stack, as _loewner_between writes them
+    D = np.empty((2,) + x[0].shape, dtype=complex)
+    D[0] = x[0]
+    np.subtract(a[0], x[0], out=D[1])
+    w = _lapack("eigvalsh", D)
     return _psd_floor(w[0], t) and _psd_floor(w[1], t, max(x[1], a[1])) and V.contains(MX, t)
 
 

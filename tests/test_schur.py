@@ -353,6 +353,31 @@ class TestDecompose:
         np.testing.assert_allclose(X, np.zeros((3, 3)))
         np.testing.assert_allclose(Y, A, atol=1e-12)
 
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_at_the_psd_boundary_over_zero_decides_as_the_block_route(self, q):
+        # the smallest eigenvalue sits at -threshold: at V = 0 decompose takes
+        # the eigvalsh the block route takes, not schur_complement's eigh, so
+        # it raises NotPSD exactly where schur_complement_via_basis raises
+        V = Subspace.zero(q)
+        outcomes = set()
+        for seed in range(20):
+            rng = np.random.default_rng([q, 0, seed])
+            U = np.linalg.qr(random_complex(rng, q, q))[0]
+            w = rng.uniform(0.1, 1, q)
+            w[0] = -T.threshold(w.max())
+            A = herm_part((U * w) @ U.conj().T)
+            try:
+                schur_complement_via_basis(A, V, T)
+            except NotPSD:
+                with pytest.raises(NotPSD):
+                    decompose(A, V, T)
+                outcomes.add(False)
+                continue
+            X, Y = decompose(A, V, T)
+            assert not X.any() and np.array_equal(Y, A)
+            outcomes.add(True)
+        assert outcomes == {True, False}, outcomes
+
 
 class TestUniqueSplit:
     def test_accepts_decompose_output(self):
@@ -502,10 +527,21 @@ class TestSchurReport:
             pytest.param(
                 1e-10, *report_case(np.random.default_rng([12, 4, 123, 7]), 12, 4), id="1e-10"
             ),
+            # V holds e1 + 1e-7 e2, close to A's dominant eigenvector e1 but
+            # not on it: at this tolerance the near miss counts, and the
+            # rounding one projection leaves inside V must not count as rank
+            pytest.param(
+                1e-16,
+                np.diag([1e6, 1.0, 0.0]),
+                subspace_from_columns(np.array([[1.0, 1.0], [1e-7, 0.0], [0.0, 1.0]])),
+                id="1e-16",
+            ),
             # a tolerance under machine epsilon: on a full-rank A at scale 15
             # rounding counts, so S is 0 where dim(ran A ∩ V) is 1, and A - S
             # meets V, in the report and the reference alike
-            pytest.param(1e-16, *report_case(np.random.default_rng([2, 1, 6]), 2, 1), id="1e-16"),
+            pytest.param(
+                1e-16, *report_case(np.random.default_rng([2, 1, 6]), 2, 1), id="1e-16-full-rank"
+            ),
         ],
     )
     def test_failed_checks_are_those_of_the_reference(self, tol, A, V):
