@@ -4,7 +4,7 @@ Commands read UTF-8 JSON (a file path, or "-" for stdin) and write one JSON
 report to stdout; diagnostics go to stderr.  Exit codes: 0 ok, 2 parse error,
 3 not PSD (including Hankel/Stieltjes nonnegativity failures), 4 dimension
 mismatch, 5 even-length input on the Hamburger path, 6 non-Hermitian input,
-7 sequence shape mismatch.
+7 sequence shape mismatch, 8 an eigensolver or SVD that did not converge.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import fields
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    NoConvergence,
     NotHermitian,
     NotPSD,
     OddOrderUnsupported,
@@ -195,6 +196,7 @@ _EXIT_CODES = {
     OddOrderUnsupported: 5,
     NotHermitian: 6,
     ShapeMismatch: 7,
+    NoConvergence: 8,
 }
 
 

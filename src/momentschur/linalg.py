@@ -97,8 +97,16 @@ def _lapack(name: str, *args, **kwargs):
 
     The SVD fails on non-finite input before LAPACK sees it, as it does on
     NaN: given an inf in a 3 x 3 or larger matrix, its vector form never
-    returns.
+    returns.  An order-1 ``eigh`` or ``eigvalsh``, of any (..., 1, 1) stack,
+    is answered here, with no call of numpy.linalg, as LAPACK's N = 1 quick
+    return in ``zheevd``/``dsyevd`` answers it: the eigenvalue is a float64
+    copy of the entry's real part, the eigenvector 1 in the input's dtype.
+    Every output is bit-identical to numpy's, NaN, inf and -0.0 included;
+    numpy's dispatch was the whole cost of a scalar verdict's factorization.
     """
+    if name in ("eigh", "eigvalsh") and args[0].shape[-2:] == (1, 1):
+        w = args[0].real[..., 0].astype(float)
+        return w if name == "eigvalsh" else (w, np.ones_like(args[0]))
     try:
         if name == "svd" and not np.isfinite(args[0]).all():
             raise np.linalg.LinAlgError("SVD did not converge")

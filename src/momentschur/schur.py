@@ -62,10 +62,7 @@ def _validated_psd(A, V, t, vectors=False) -> tuple[Array, Array, Array | None]:
             f"A is {M.shape[0]}x{M.shape[0]} but V lives in C^{V.ambient_dim}"
         )
     H = _checked(M, t, "matrix is not Hermitian, hence not PSD", NotPSD)[0]
-    if vectors:
-        w, U = _lapack("eigh", H)
-    else:
-        w, U = _lapack("eigvalsh", H), None
+    w, U = _lapack("eigh", H) if vectors else (_lapack("eigvalsh", H), None)
     if not _psd_floor(w, t):
         raise NotPSD(f"eigenvalue {w[0]:.6e} is below the PSD tolerance")
     return H, w, U

@@ -273,6 +273,18 @@ class TestExitCodes:
         result = run_cli("class-test", str(GOLDEN / "seq_101.json"), other)
         assert result.returncode == 7
 
+    def test_a_solver_that_does_not_converge_exits_8(self, monkeypatch):
+        # order-1 eigenproblems never reach numpy.linalg, so a q = 2 golden
+        # input with a patched failure stands for what LAPACK cannot solve
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, fail)
+        code, out, err = main_in_process("classify", str(GOLDEN / "seq_201_alpha.json"))
+        assert (code, out) == (8, "")
+        assert err == "error: eigensolver did not converge: Eigenvalues did not converge\n"
+
     def test_errors_go_to_stderr_only(self, tmp_path):
         seq = write_seq(tmp_path / "s.json", [[[1]], [[0]]])
         result = run_cli("classify", seq)

@@ -223,6 +223,63 @@ def test_frobenius_matches_numpys_norm_on_random_blocks():
         assert _bits(frobenius(A.real)) == _bits(np.linalg.norm(A.real))
 
 
+_ORDER_ONE_ENTRIES = [
+    np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 2.5,
+    complex(-0.0, -0.0), complex(3.0, 4.0), complex(1e-300, -1e300), complex(-1e300, 1e-300),
+    complex(np.nan, 1.0), complex(1.0, np.nan), complex(2.0, np.inf), complex(np.inf, -np.inf),
+]
+
+
+def _order_one_stacks():
+    """(1, 1), (2, 1, 1) and (3, 2, 1, 1) stacks of every entry above, complex and real."""
+    z = np.array(_ORDER_ONE_ENTRIES, dtype=complex)
+    stacks = []
+    for entries in (z, z.real.copy()):
+        n = entries.size
+        stacks += [entries[i:i + 1].reshape(1, 1) for i in range(n)]
+        stacks += [entries[[i, (i + 1) % n]].reshape(2, 1, 1) for i in range(n)]
+        stacks += [np.roll(entries, i)[:6].reshape(3, 2, 1, 1) for i in range(n)]
+    return stacks
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("a", _order_one_stacks(), ids=lambda a: f"{a.dtype}-{a.shape}-{a.ravel()[0]}")
+def test_an_order_one_eigenproblem_is_numpys_answer_bit_for_bit(factorizations, a):
+    # LAPACK's N = 1 quick return, W(1) = DBLE(A(1,1)) and Z = 1, answered
+    # without numpy.linalg: the same bytes, dtypes and shapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, (v, U) = linalg._lapack("eigvalsh", a), linalg._lapack("eigh", a)
+    assert factorizations == Counter()
+    assert _same_bytes(w, np.linalg.eigvalsh(a))
+    expected = np.linalg.eigh(a)
+    assert _same_bytes(v, expected.eigenvalues) and _same_bytes(U, expected.eigenvectors)
+
+
+def test_repeated_scalar_verdicts_make_no_lapack_call(factorizations):
+    # at q = 1 every interval end and class-test difference is 1 x 1: once
+    # the towers are held, a repeated question factorizes nothing
+    rng = np.random.default_rng(11)
+    s = M.MomentSequence(hamburger_measure_sequence(rng, 1, 9, n_atoms=4))
+    k = M.MomentSequence(stieltjes_measure_sequence(rng, 0.5, 1, 8, n_atoms=4))
+    mid = 0.5 * (M.theta(s, 4) + s[8])
+    questions = [
+        lambda: M.in_extension_interval(s, mid, "given_s2n"),
+        lambda: M.in_extension_interval(s, s[8], "r_upper"),
+        lambda: M.same_class(s, s),
+        lambda: M.in_extension_interval_stieltjes(k, 0.5, k[7], "given_sm"),
+        lambda: M.in_extension_interval_stieltjes(k, 0.5, k[7], "r_upper"),
+        lambda: M.same_class_stieltjes(k, k, 0.5),
+    ]
+    first = [question() for question in questions]
+    factorizations.clear()
+    assert [question() for question in questions] == first
+    assert factorizations == Counter()
+
+
 SPECTRA = [
     [-30.0, -20.0],  # all negative
     [-1e-11, -1e-12],
@@ -287,7 +344,8 @@ def test_complement_is_one_qr_of_the_basis(factorizations, d):
     [
         (0, Counter(eigvalsh=1), Counter(eigvalsh=1)),
         (1, Counter(eigvalsh=1, qr=1, eigh=1), Counter(eigvalsh=1, qr=1, eigh=1)),
-        (2, Counter(eigvalsh=1, qr=1, eigh=1), Counter(eigvalsh=1, qr=1, eigh=1)),
+        # B22 and W^H A W are 1 x 1 at d = q - 1: their pinv takes no eigh
+        (2, Counter(eigvalsh=1, qr=1), Counter(eigvalsh=1, qr=1)),
         (3, Counter(eigvalsh=1), Counter(eigvalsh=1)),
     ],
 )
@@ -319,13 +377,14 @@ def test_a_non_finite_x_has_variational_value_nan_without_a_warning(d, entry):
 
 def test_decompose_at_zero_is_the_psd_verdict_and_schur_complement_bit_for_bit(factorizations):
     # (0, A): only the PSD verdict factorizes, by one eigvalsh, where
-    # schur_complement takes an eigh for the P_fiber decompose discards
+    # schur_complement takes an eigh for the P_fiber decompose discards; at
+    # q = 1 that eigvalsh is order 1 and makes no LAPACK call
     for q in (1, 3, 8):
         A = random_psd(np.random.default_rng(q), q, q - 1)
         V = M.Subspace.zero(q)
         factorizations.clear()
         X, Y = M.decompose(A, V)
-        assert factorizations == Counter(eigvalsh=1)
+        assert factorizations == (Counter(eigvalsh=1) if q > 1 else Counter())
         result = M.schur_complement(A, V)
         assert np.array_equal(X, result.S) and np.array_equal(Y, result.complement)
         assert X.dtype == result.S.dtype and Y.dtype == result.complement.dtype
