@@ -602,11 +602,12 @@ def test_a_class_test_whose_difference_fails_the_band_makes_one_eigvalsh(factori
 
 
 @pytest.mark.parametrize("alpha", [None, 0.5])
-def test_a_class_test_that_needs_the_rank_sum_svd_rebuilds_one_clip(factorizations, alpha):
+def test_a_class_test_that_needs_the_split_test_makes_one_eigvalsh_and_one_svd(factorizations, alpha):
     # one atom with a rank-one weight: kappa_{m-step} has rank 1, and
-    # r_m - R_m = 1e-3 u u^H too, so the rank sum 2 = q leaves the SVD of
-    # [D K] to decide; D is the clip rebuilt from one eigh, whose rank is
-    # the one the eigenvalues counted
+    # r_m - R_m = 1e-3 u u^H too, so the rank sum 2 = q leaves the split test
+    # to decide: one values-only SVD of r_m - R_m and its part outside
+    # ran kappa_{m-step}, stacked, on the range the slack's held eigh gives.
+    # No clip is rebuilt
     v, u = np.array([[1.0], [1j]]), np.array([[1.0], [0.5]])
     s = measure_moments([0.7], [v @ v.conj().T], 3)
     extra = () if alpha is None else (alpha,)
@@ -616,7 +617,33 @@ def test_a_class_test_that_needs_the_rank_sum_svd_rebuilds_one_clip(factorizatio
         r = s.with_last(R + 1e-3 * w @ w.conj().T)
         factorizations.clear()
         assert same(s, r, *extra) == disjoint
-        assert factorizations == Counter(eigvalsh=1, eigh=1, svd=1)
+        assert factorizations == Counter(eigvalsh=1, svd=1)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5])
+@pytest.mark.parametrize("length", [3, 5])
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+def test_a_non_finite_competing_block_fails_the_class_test_with_no_factorization(
+        factorizations, alpha, length, entry):
+    # one atom with a rank-one weight: kappa_{m-step} has rank 1 at length 3
+    # and is 0 at length 5.  On a warm tower, r_m holding a NaN or an inf is
+    # no PSD difference and meets every range, and nothing is factorized
+    v = np.array([[1.0], [1j]])
+    s = measure_moments([0.7], [v @ v.conj().T], length)
+    tower = Tower.of(s, None, alpha)
+    m = tower.top()
+    scale = tower._scale(tower._sizes[m])
+    assert tower._spectrum(m - tower.step).rank(scale, tower.t) == (length == 3)
+    last = tower.r(m)
+    last[0, 1] = entry
+    for moved in (0.0, 1.0):
+        r = M.MomentSequence([*(s.stack[:-1] + moved), last])
+        factorizations.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tower.conditions(r) == (not moved, False, False)
+            assert not (M.same_class(s, r) if alpha is None else M.same_class_stieltjes(s, r, alpha))
+        assert not factorizations
 
 
 @pytest.mark.parametrize("alpha", [None, 0.5])
@@ -748,7 +775,10 @@ def _reference_disjoint(tower, last):
 
 def test_class_test_ranges_match_the_reference_rank_sum():
     # R, R +- 1e-3 I, R + v v^H (v random), R + 0.3 u u^H (u the top
-    # eigenvector of kappa_{m-step}, so that the ranges meet)
+    # eigenvector of kappa_{m-step}, so that the ranges meet); the
+    # non-Hermitian R + 1e-3 v w^H (w random too); and R + 10 b v v^H and
+    # R + 10 b u u^H, b the block scale, whose r_m lifts the scale of the
+    # class test above b
     rng = np.random.default_rng(29)
     # six atoms keep kappa_{m-step} nonzero, as _stream's few atoms mostly do not
     rich = []
@@ -757,6 +787,12 @@ def test_class_test_ranges_match_the_reference_rank_sum():
             rich.append((hamburger_measure_sequence(rng, q, length, n_atoms=6), None))
             rich.append((stieltjes_measure_sequence(rng, 0.5, q, length, n_atoms=6), 0.5))
             rich.append((stieltjes_measure_sequence(rng, -1.0, q, length + 1, n_atoms=6), -1.0))
+    # q - 1 atoms with rank-one weights leave 0 < rank kappa_{m-step} < q, so
+    # that a rank-one difference reaches the split test
+    for q in (2, 3):
+        for _ in range(4):
+            rich.append((hamburger_measure_sequence(rng, q, 3, n_atoms=q - 1, max_rank=1), None))
+            rich.append((stieltjes_measure_sequence(rng, 0.5, q, 3, n_atoms=q - 1, max_rank=1), 0.5))
     verdicts = Counter()
     for s, alpha in [*_stream(), *rich]:
         tower = Tower(s, None, alpha)
@@ -764,14 +800,20 @@ def test_class_test_ranges_match_the_reference_rank_sum():
         if not tower.nnd(m):
             continue
         R = tower.r(m)
-        v = random_complex(rng, s.q, 1)
+        v, w = random_complex(rng, s.q, 1), random_complex(rng, s.q, 1)
         u = np.linalg.eigh(tower.kappa(m - tower.step))[1][:, -1:]
-        I = np.eye(s.q)
-        for last in (R, R + 1e-3 * I, R - 1e-3 * I, R + v @ v.conj().T, R + 0.3 * u @ u.conj().T):
+        I, P, Q = np.eye(s.q), v @ v.conj().T, u @ u.conj().T
+        lifted = 10 * tower._sizes[m]
+        lasts = (R, R + 1e-3 * I, R - 1e-3 * I, R + P, R + 0.3 * Q, R + 1e-3 * v @ w.conj().T,
+                 R + lifted * P, R + lifted * Q)
+        for kind, last in enumerate(lasts):
             verdict = Tower(s, None, alpha).conditions(s.with_last(last))[2]
-            assert verdict == _reference_disjoint(tower, last)
-            verdicts[verdict] += 1
-    assert verdicts[True] > 50 and verdicts[False] > 50, verdicts
+            assert verdict == _reference_disjoint(tower, last), (kind, s.q, alpha)
+            verdicts[kind, verdict] += 1
+    # the non-Hermitian and the lifted differences answer both ways
+    assert all(verdicts[kind, answer] for kind in (5, 6, 7) for answer in (True, False)), verdicts
+    assert sum(n for (_, answer), n in verdicts.items() if answer) > 50, verdicts
+    assert sum(n for (_, answer), n in verdicts.items() if not answer) > 50, verdicts
 
 
 def _splits(rng):
