@@ -163,6 +163,38 @@ def _psd_floor(w, t: Tolerance, scale: float = 0.0) -> bool:
     return low >= -t.threshold(max(-low, float(w[-1]), scale))
 
 
+def _psd_certified(H, t: Tolerance) -> bool:
+    """Does one Cholesky of H + cI prove ``_psd_floor``'s verdict "PSD" on the exactly Hermitian H?
+
+    With u = 2^-53 and q >= 2 the order of H, the shift is
+    c = threshold(||H||_F / sqrt q) / 2, at most half the rule's threshold,
+    since the spectral radius is at least ||H||_F / sqrt q.  A Cholesky that
+    completes is exact for H + cI + E with ||E||_2 <= q gamma_{q+1}
+    ||H + cI||_2 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Thm 10.3), so lambda_min(H) >= -c - ||E||_2.  Where the bound
+    2q(q+1) u ||H||_F <= c holds, ||E||_2 <= c/2 up to terms of order u^2,
+    so lambda_min(H) >= -3c/2, above the rule's floor by a quarter of its
+    threshold at least: the certificate accepts only what the eigenvalue
+    rule accepts, at a quarter of an ``eigvalsh``'s flops (q^3/3 against
+    4q^3/3).  The bound holds up to q = 137 at the default eps_rel.  Order
+    1, a norm that is not finite, a bound that fails or a Cholesky that
+    breaks down (LinAlgError: not proven, never NoConvergence) answer False,
+    and the caller decides by the eigenvalues.
+    """
+    q = H.shape[0]
+    norm = frobenius(H)
+    c = t.threshold(norm / math.sqrt(q)) / 2
+    if q < 2 or not (norm < np.inf and 2 * q * (q + 1) * 2.0 ** -53 * norm <= c):
+        return False
+    shifted = H.copy()
+    shifted.flat[:: q + 1] += c
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _flatten_band(w, thr) -> Array:
     """Ascending eigenvalues w with the band |w| <= thr set to 0; one below it raises NotPSD."""
     if w[0] < -thr:
@@ -250,7 +282,7 @@ class _Spectrum:
     def range(self, scale, t: Tolerance) -> "Subspace":
         """ran M at working scale ``scale``: the eigenvectors outside the band."""
         w, U = self._band(scale, t)
-        return Subspace(U[:, w != 0])
+        return Subspace._trusted(U[:, w != 0])
 
 
 def pinv(A, tol=None) -> Array:
@@ -311,7 +343,9 @@ class Subspace:
     d = 0 is allowed and represents the zero subspace (q x 0 basis).  A basis
     whose Gram matrix is off the identity by more than 1e-8 (relative) is
     rejected; one off by more than 1e-11 is replaced by the Q of its QR, so
-    that B B^H is a projector.  Any other basis keeps its bits.
+    that B B^H is a projector.  Any other basis keeps its bits.  The bases
+    the package's own factorizations make are held by ``_trusted``, with
+    no check.
     """
 
     __slots__ = ("basis",)
@@ -333,9 +367,24 @@ class Subspace:
             # off by 2.4e-15 or less at q <= 256, and keep their bits
             if error > 1e-11 * size:
                 B = _lapack("qr", B)[0]
-        B = B.copy()
-        B.flags.writeable = False
-        self.basis = B
+        self._hold(B)
+
+    def _hold(self, B):
+        """Store a contiguous read-only copy of the basis B."""
+        self.basis = B.copy()
+        self.basis.flags.writeable = False
+
+    @classmethod
+    def _trusted(cls, B) -> "Subspace":
+        """The span of a complex basis this package's ``eigh``, ``svd`` or ``qr`` made, unchecked.
+
+        Such a basis keeps its bits in ``__init__``, which would only spend
+        a Gram matrix and two norms finding that out (0.5 ms of
+        ``complement`` at q = 128, dim V = 1).
+        """
+        sub = cls.__new__(cls)
+        sub._hold(B)
+        return sub
 
     @classmethod
     def zero(cls, q: int) -> "Subspace":
@@ -387,7 +436,7 @@ class Subspace:
 
     def complement(self) -> "Subspace":
         """The orthogonal complement: the last q - d columns of a complete QR of the basis."""
-        return Subspace(_lapack("qr", self.basis, mode="complete")[0][:, self.dim:])
+        return Subspace._trusted(_lapack("qr", self.basis, mode="complete")[0][:, self.dim:])
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Subspace(ambient_dim={self.ambient_dim}, dim={self.dim})"
@@ -396,7 +445,7 @@ class Subspace:
 def subspace_from_columns(M, tol=None) -> Subspace:
     """Subspace spanned by the columns of M (dim = numerical rank), by the SVD."""
     U, r = _svd_rank(M, tol, True)
-    return Subspace(U[:, :r])
+    return Subspace._trusted(U[:, :r])
 
 
 def fiber_projector(M, V: Subspace, tol=None) -> Array:

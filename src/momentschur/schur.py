@@ -25,6 +25,7 @@ from .linalg import (
     _checked,
     _lapack,
     _pinv_rule,
+    _psd_certified,
     _psd_floor,
     _root_factor,
     as_matrix,
@@ -47,12 +48,15 @@ class SchurResult:
     complement: Array
 
 
-def _validated_psd(A, V, t, vectors=False) -> tuple[Array, Array, Array | None]:
+def _validated_psd(A, V, t, factor=None) -> tuple[Array, Array | None, Array | None]:
     """Check A is square Hermitian PSD (within tolerance) and matches V.
 
-    Returns (A+A^H)/2 with its eigenvalues w, from one factorization: an
-    ``eigh``, which also gives the eigenvectors U, when ``vectors`` is set;
-    else an ``eigvalsh``, and U is None.
+    Returns H = (A+A^H)/2 with what its caller reads of H's spectrum.
+    ``factor`` "eigh" gives the eigenvalues w and eigenvectors U, "eigvalsh"
+    w alone (U None).  With no factor the caller reads the verdict alone:
+    ``_psd_certified``'s one shifted Cholesky proves it where it can, and w
+    and U are None; where it proves nothing, one ``eigvalsh`` decides, by
+    the same rule and with the same NotPSD message as with "eigvalsh".
     """
     M = as_matrix(A)
     if M.shape[0] != M.shape[1]:
@@ -62,7 +66,9 @@ def _validated_psd(A, V, t, vectors=False) -> tuple[Array, Array, Array | None]:
             f"A is {M.shape[0]}x{M.shape[0]} but V lives in C^{V.ambient_dim}"
         )
     H = _checked(M, t, "matrix is not Hermitian, hence not PSD", NotPSD)[0]
-    w, U = _lapack("eigh", H) if vectors else (_lapack("eigvalsh", H), None)
+    if factor is None and _psd_certified(H, t):
+        return H, None, None
+    w, U = _lapack("eigh", H) if factor == "eigh" else (_lapack("eigvalsh", H), None)
     if not _psd_floor(w, t):
         raise NotPSD(f"eigenvalue {w[0]:.6e} is below the PSD tolerance")
     return H, w, U
@@ -79,11 +85,11 @@ def schur_complement(A, V: Subspace, tol=None) -> SchurResult:
     t = as_tolerance(tol)
     # the eigenvectors build the fiber or the root; when V is the whole
     # space, S = A needs only the PSD verdict
-    return _complement(*_validated_psd(A, V, t, vectors=V.dim < V.ambient_dim), V, t)
+    return _complement(*_validated_psd(A, V, t, "eigh" if V.dim < V.ambient_dim else None), V, t)
 
 
 def _complement(M, w, U, V: Subspace, t) -> SchurResult:
-    """S(M, V) from M's ascending eigenvalues w and eigenvectors U (None only when V = C^q).
+    """S(M, V) from M's ascending eigenvalues w and eigenvectors U (unread, and may be None, when V = C^q).
 
     ``_validated_psd`` gives M, w and U; a tower slack's ``_Spectrum`` record
     gives its clip with the banded w and U the clip is built from.  Below
@@ -134,10 +140,10 @@ def schur_report(A, V: Subspace, tol=None) -> tuple[SchurResult, int, int, dict[
     is rounding noise, and its rank is 0, not its rank at its own norm.
     """
     t = as_tolerance(tol)
-    M, w, U = _validated_psd(A, V, t, vectors=V.dim < V.ambient_dim)
+    M, w, U = _validated_psd(A, V, t, "eigh" if V.dim < V.ambient_dim else "eigvalsh")
     result = _complement(M, w, U, V, t)
     S, Y = result.S, result.complement
-    range_A = subspace_from_columns(M, t) if U is None else Subspace(_root_factor(w, U, t)[0])
+    range_A = subspace_from_columns(M, t) if U is None else Subspace._trusted(_root_factor(w, U, t)[0])
     if V.dim == 0:
         # S = 0, and ran A meets V = 0 in 0
         rank_S, S_psd, cap_dim = 0, True, 0
@@ -233,11 +239,12 @@ def in_lcr(A, V: Subspace, X, tol=None) -> bool:
 def decompose(A, V: Subspace, tol=None) -> tuple[Array, Array]:
     """The unique split A = X + Y with ran X inside V and ran Y meeting V in 0.
 
-    At V = 0 the split is (0, A), and A's PSD verdict is the ``eigvalsh``
-    that ``schur_complement_via_basis`` takes, not ``schur_complement``'s
-    ``eigh``: at the exact tolerance boundary their smallest eigenvalues
-    differ by a few ulps, so the two may decide otherwise there, as the
-    block route already may.
+    At V = 0 the split is (0, A), and A's PSD verdict is the verdict-only
+    check ``schur_complement_via_basis`` makes (one shifted Cholesky, then
+    an ``eigvalsh`` where it proves nothing), not ``schur_complement``'s
+    ``eigh``: at the exact tolerance boundary the smallest eigenvalues of an
+    ``eigvalsh`` and an ``eigh`` differ by a few ulps, so the two may decide
+    otherwise there, as the block route already may.
     """
     if V.dim == 0:
         M = _validated_psd(A, V, as_tolerance(tol))[0]

@@ -18,9 +18,9 @@ from momentschur import MomentSequence, Subspace
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Count np.linalg.eigh, eigvalsh, svd and qr calls by name."""
+    """Count np.linalg.eigh, eigvalsh, svd, qr and cholesky calls by name."""
     counts = Counter()
-    for name in ("eigh", "eigvalsh", "svd", "qr"):
+    for name in ("eigh", "eigvalsh", "svd", "qr", "cholesky"):
         real = getattr(np.linalg, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):

@@ -309,15 +309,17 @@ def test_the_default_tolerance_is_one_shared_instance():
     assert as_tolerance(None) == Tolerance()
 
 
-@pytest.mark.parametrize("d, eigh, eigvalsh", [(0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 0, 1)])
-def test_schur_complement_factorizes_its_input_once(factorizations, d, eigh, eigvalsh):
-    # eigh when the eigenvectors build the fiber or the root, eigvalsh when
-    # V is the whole space and S = A needs only the PSD verdict
+@pytest.mark.parametrize("d, eigh, cholesky", [(0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 0, 1)])
+def test_schur_complement_factorizes_its_input_once(factorizations, d, eigh, cholesky):
+    # eigh when the eigenvectors build the fiber or the root; when V is the
+    # whole space S = A needs only the PSD verdict, which one shifted
+    # Cholesky proves for this positive definite A
     rng = np.random.default_rng(5)
     A = random_psd(rng, 3, 3)
     V = random_subspace(rng, 3, d)
     M.schur_complement(A, V)
-    assert (factorizations["eigh"], factorizations["eigvalsh"]) == (eigh, eigvalsh)
+    counts = factorizations["eigh"], factorizations["eigvalsh"], factorizations["cholesky"]
+    assert counts == (eigh, 0, cholesky)
 
 
 def test_psd_verdicts_use_eigenvalues_only(factorizations):
@@ -338,15 +340,16 @@ def test_complement_is_one_qr_of_the_basis(factorizations, d):
 
 
 # V = 0 and V = C^3 leave via_basis no complement to take, and the
-# variational value none either: at V = 0 the minimum over V-perp = C^3 is 0
+# variational value none either: at V = 0 the minimum over V-perp = C^3 is 0.
+# Both read only A's PSD verdict, which one shifted Cholesky proves here
 @pytest.mark.parametrize(
     "d, via_basis, variational",
     [
-        (0, Counter(eigvalsh=1), Counter(eigvalsh=1)),
-        (1, Counter(eigvalsh=1, qr=1, eigh=1), Counter(eigvalsh=1, qr=1, eigh=1)),
+        (0, Counter(cholesky=1), Counter(cholesky=1)),
+        (1, Counter(cholesky=1, qr=1, eigh=1), Counter(cholesky=1, qr=1, eigh=1)),
         # B22 and W^H A W are 1 x 1 at d = q - 1: their pinv takes no eigh
-        (2, Counter(eigvalsh=1, qr=1), Counter(eigvalsh=1, qr=1)),
-        (3, Counter(eigvalsh=1), Counter(eigvalsh=1)),
+        (2, Counter(cholesky=1, qr=1), Counter(cholesky=1, qr=1)),
+        (3, Counter(cholesky=1), Counter(cholesky=1)),
     ],
 )
 def test_block_routes_complete_the_basis_by_one_qr(factorizations, d, via_basis, variational):
@@ -376,18 +379,86 @@ def test_a_non_finite_x_has_variational_value_nan_without_a_warning(d, entry):
 
 
 def test_decompose_at_zero_is_the_psd_verdict_and_schur_complement_bit_for_bit(factorizations):
-    # (0, A): only the PSD verdict factorizes, by one eigvalsh, where
+    # (0, A): only the PSD verdict factorizes, by one shifted Cholesky, where
     # schur_complement takes an eigh for the P_fiber decompose discards; at
-    # q = 1 that eigvalsh is order 1 and makes no LAPACK call
+    # q = 1 the verdict is an order-1 eigvalsh and makes no LAPACK call
     for q in (1, 3, 8):
         A = random_psd(np.random.default_rng(q), q, q - 1)
         V = M.Subspace.zero(q)
         factorizations.clear()
         X, Y = M.decompose(A, V)
-        assert factorizations == (Counter(eigvalsh=1) if q > 1 else Counter())
+        assert factorizations == (Counter(cholesky=1) if q > 1 else Counter())
         result = M.schur_complement(A, V)
         assert np.array_equal(X, result.S) and np.array_equal(Y, result.complement)
         assert X.dtype == result.S.dtype and Y.dtype == result.complement.dtype
+
+
+# the public entry points that read nothing of A's spectrum but its PSD verdict
+VERDICT_ONLY = {
+    "via_basis": lambda A, t: M.schur_complement_via_basis(A, M.Subspace.zero(len(A)), t),
+    "variational": lambda A, t: M.variational_value(A, M.Subspace.zero(len(A)), np.ones(len(A)), t),
+    "decompose": lambda A, t: M.decompose(A, M.Subspace.zero(len(A)), t),
+    "full_space": lambda A, t: M.schur_complement(A, M.Subspace(np.eye(len(A), dtype=complex)), t),
+}
+
+
+def _verdict(call, A, t):
+    """(True, None) if call(A, t) passes A as PSD, else (False, its NotPSD message)."""
+    try:
+        call(A, t)
+    except M.NotPSD as exc:
+        return False, str(exc)
+    return True, None
+
+
+@pytest.mark.parametrize("q", [2, 3, 8, 32, 128])
+def test_the_psd_certificate_decides_as_the_eigenvalue_rule(factorizations, q):
+    # lambda_min = -alpha threshold(rho), rho the spectral radius: a shifted
+    # Cholesky that completes must mean the rule's verdict PSD, and where it
+    # proves nothing the eigvalsh decides, with the rule's NotPSD message
+    t = Tolerance()
+    for k, scale in enumerate([1e-6, 1e-3, 1.0, 1e3, 1e6]):
+        rng = np.random.default_rng([q, k])
+        U = np.linalg.qr(random_complex(rng, q, q))[0]
+        for alpha in [0, 0.1, 0.45, 0.5, 0.55, 0.99, 1, 1.01, 3]:
+            rank = int(rng.integers(1, q))
+            w = np.zeros(q)
+            w[1:rank + 1] = scale * rng.uniform(0.1, 1.0, rank)
+            w[0] = -alpha * t.threshold(w.max())
+            A = linalg.herm_part((U * w) @ U.conj().T)
+            low = np.linalg.eigvalsh(A)
+            expected = (True, None) if _psd_floor(low, t) else (
+                False, f"eigenvalue {low[0]:.6e} is below the PSD tolerance")
+            for name, call in VERDICT_ONLY.items():
+                factorizations.clear()
+                assert _verdict(call, A, t) == expected, (name, scale, alpha)
+                certified = factorizations == Counter(cholesky=1)
+                assert certified or factorizations == Counter(cholesky=1, eigvalsh=1)
+                # the shift is at most half the threshold: at lambda_min 0
+                # the certificate must hold, past half the threshold it cannot
+                assert certified if alpha == 0 else not (certified and alpha > 0.5)
+
+
+def test_the_certificate_is_not_tried_where_its_bound_fails_or_at_order_one(factorizations):
+    # at eps_rel = 1e-15, 2q(q+1) u ||H||_F exceeds the shift; at q = 1 the
+    # verdict is the order-1 rule, which calls no numpy.linalg function
+    rng = np.random.default_rng(17)
+    for A, tol, factorized in [(random_psd(rng, 8, 8), Tolerance(1e-15), Counter(eigvalsh=1)),
+                               (random_psd(rng, 1, 1), Tolerance(), Counter())]:
+        for call in VERDICT_ONLY.values():
+            factorizations.clear()
+            assert _verdict(call, A, tol) == (True, None)
+            assert factorizations == factorized
+
+
+@pytest.mark.parametrize("d", [[1e154, -1e154], [1e200, -1e200, 1.0]], ids=["1e154", "1e200"])
+def test_a_norm_that_overflows_gets_no_certificate(d):
+    # ||H||_F is inf, so the shift would be inf and any Cholesky would pass
+    A = np.diag(d)
+    with np.errstate(over="ignore"):
+        for call in VERDICT_ONLY.values():
+            assert _verdict(call, A, Tolerance()) == (
+                False, f"eigenvalue {-d[0]:.6e} is below the PSD tolerance")
 
 
 @pytest.mark.parametrize("d", [0, 1, 64, 127, 128])
