@@ -77,19 +77,32 @@ def herm_part(A: Array) -> Array:
 
 
 def frobenius(A) -> float:
-    """||A||_F by ``np.linalg.norm(A)``'s own arithmetic, bit for bit, without its dispatch.
+    """||A||_F as sqrt(x^H x) by one BLAS ``vdot``; non-float input is cast to float first.
 
-    Non-float input is cast to float first; the entries are taken in memory
-    order, and sqrt(re . re + im . im) is formed from two dot products.
+    It agrees with ``np.linalg.norm(A)`` up to summation order: for n real
+    and imaginary parts, each sum of squares is within gamma_n of the exact
+    one (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Sec. 3.1), so the two norms are within gamma_{n+2} of each other.  Where the squares of finite entries
+    overflow, the entries are scaled by an exact power of two 2^-e below 1
+    and the norm scaled back, as Blue's norm routine does, so the result is
+    finite whenever ||A||_F is, and 2^k A's norm is 2^k times A's, bit for
+    bit.  A NaN part gives NaN and else an inf part inf, as in
+    ``np.linalg.norm``.
     """
     x = np.asarray(A)
     if x.dtype.kind not in "fc":
         x = x.astype(float)
-    x = x.ravel(order="K")
-    if x.dtype.kind == "c":
-        re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(x.dot(x))
+    r = math.sqrt(np.vdot(x, x).real)
+    if r < math.inf:
+        return r
+    # the squares overflow, or x holds a NaN or an inf, where a complex dot
+    # may leave NaN for np.linalg.norm's inf.  The largest part m tells them
+    # apart: a NaN or an inf is the norm, and a finite m sets the exact power
+    # of two 2^-e that brings every entry below 1 (2.0 ** e overflows at
+    # e = 1024, so it goes back in two halves)
+    m = float(np.abs([x.real, x.imag]).max())
+    e = math.frexp(m)[1]
+    return frobenius(x * 2.0 ** -e) * 2.0 ** (e // 2) * 2.0 ** (e - e // 2) if m < math.inf else m
 
 
 def _lapack(name: str, *args, **kwargs):
@@ -157,7 +170,8 @@ def _checked(M, t: Tolerance, message: str, error=NotHermitian) -> tuple[Array, 
 def _psd_floor(w, t: Tolerance, scale: float = 0.0) -> bool:
     """Is min(w) >= -threshold(max(spectral radius, scale))?  w is ascending.
 
-    The spectral radius of an ascending w is max(-w[0], w[-1]).
+    The spectral radius of an ascending w is max(-w[0], w[-1]).  w may be
+    an array or a list; the float() reads keep the verdict a Python bool.
     """
     low = float(w[0])
     return low >= -t.threshold(max(-low, float(w[-1]), scale))
@@ -261,10 +275,6 @@ class _Spectrum:
         if self._w is None or (vectors and self._U is None):
             self._w, self._U = _lapack("eigh", self.H) if vectors else (_lapack("eigvalsh", self.H), None)
         return _flatten_band(self._w, thr), self._U
-
-    def clip(self, scale, t: Tolerance) -> Array:
-        """M with its eigenvalue noise at working scale ``scale`` set to 0."""
-        return _rebuilt(*self._band(scale, t))
 
     def rank(self, scale, t: Tolerance) -> int:
         """The clip's rank at working scale ``scale``: its nonzero eigenvalues' count."""
@@ -514,7 +524,8 @@ def _loewner_between(a, x, b, t: Tolerance) -> bool:
     D = np.empty((2,) + x[0].shape, dtype=complex)
     np.subtract(x[0], a[0], out=D[0])
     np.subtract(b[0], x[0], out=D[1])
-    w = _lapack("eigvalsh", D)
+    # two rows of Python floats: one tolist() for _psd_floor's four reads
+    w = _lapack("eigvalsh", D).tolist()
     return _psd_floor(w[0], t, max(a[1], x[1])) and _psd_floor(w[1], t, max(x[1], b[1]))
 
 

@@ -131,11 +131,11 @@ def schur_report(A, V: Subspace, tol=None) -> tuple[SchurResult, int, int, dict[
     within a few ulps of the threshold may count otherwise than in
     ``numerical_rank``'s SVD.  Three checks stay independent of the
     computation they check: ``S_leq_A`` takes its own ``eigvalsh`` of
-    A - S; dim(ran A ∩ V) is rank A + dim V - rank [A V], by one
-    values-only SVD of A beside V's basis; and the remainder's range meets
-    V only in 0 when rank((I - P_V)(A - S)) = rank(A - S), by
-    ``Subspace.meets_trivially``'s one values-only SVD of a (2, q, q)
-    stack.  A - S is a difference at A's scale, so both ranks are cut at
+    A - S; dim(ran A ∩ V) is rank A + dim V - rank [A / max(1, ||A||_F), V],
+    by one values-only SVD of A, at unit scale, beside V's basis; and the
+    remainder's range meets V only in 0 when rank((I - P_V)(A - S)) =
+    rank(A - S), by ``Subspace.meets_trivially``'s one values-only SVD of a
+    (2, q, q) stack.  A - S is a difference at A's scale, so both ranks are cut at
     threshold(max(||A||_F, sigma_max(A - S))): where ran A lies in V, A - S
     is rounding noise, and its rank is 0, not its rank at its own norm.
     """
@@ -144,6 +144,7 @@ def schur_report(A, V: Subspace, tol=None) -> tuple[SchurResult, int, int, dict[
     result = _complement(M, w, U, V, t)
     S, Y = result.S, result.complement
     range_A = subspace_from_columns(M, t) if U is None else Subspace._trusted(_root_factor(w, U, t)[0])
+    norm = frobenius(M)
     if V.dim == 0:
         # S = 0, and ran A meets V = 0 in 0
         rank_S, S_psd, cap_dim = 0, True, 0
@@ -152,14 +153,16 @@ def schur_report(A, V: Subspace, tol=None) -> tuple[SchurResult, int, int, dict[
         w_S = w if U is None else _lapack("eigvalsh", S)
         rank_S = int(np.count_nonzero(_pinv_rule(t)(np.abs(w_S))))
         S_psd = _psd_floor(w_S, t)
-        cap_dim = range_A.dim + V.dim - numerical_rank(np.hstack([M, V.basis]), t)
+        # A's columns at unit scale beside V's unit columns, so that the cut
+        # does not move with A's scale; below it the floor holds, as in threshold
+        cap_dim = range_A.dim + V.dim - numerical_rank(np.hstack([M / max(1.0, norm), V.basis]), t)
     checks = {
         "S_psd": S_psd,
         "S_leq_A": loewner_leq(S, M, t),
         "range_S_in_V": V.contains(S, t),
         "range_S_in_range_A": range_A.contains(S, t),
         "rank_S_is_dim_of_range_A_cap_V": rank_S == cap_dim,
-        "complement_range_meets_V_trivially": V.meets_trivially(Y, t, frobenius(M)),
+        "complement_range_meets_V_trivially": V.meets_trivially(Y, t, norm),
     }
     return result, range_A.dim, rank_S, checks
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from momentschur import MomentSequence, Subspace
+from momentschur.linalg import _rebuilt
 
 
 @pytest.fixture
@@ -29,6 +30,12 @@ def factorizations(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
+
+
+def slack_clip(record, scale, t):
+    """The clip a tower takes of a ``_Spectrum`` record at working scale ``scale``:
+    its eigenvalues with the noise band set to 0, rebuilt on its eigenvectors."""
+    return _rebuilt(*record._band(scale, t))
 
 
 def random_complex(rng, rows, cols):

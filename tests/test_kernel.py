@@ -2,6 +2,7 @@
 and call, one LAPACK error path."""
 
 from collections import Counter
+import math
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
     random_complex,
     random_psd,
     random_subspace,
+    slack_clip,
     stieltjes_measure_sequence,
 )
 
@@ -206,21 +208,66 @@ def _norm_cases():
     }
 
 
-@pytest.mark.parametrize("name", list(_norm_cases()))
-def test_frobenius_is_numpys_norm_bit_for_bit(name):
+_NON_FINITE_NORM_CASES = ("nan", "inf", "inf_real")
+
+
+@pytest.mark.parametrize("name", [n for n in _norm_cases() if n not in _NON_FINITE_NORM_CASES])
+def test_frobenius_is_one_vdot_bit_for_bit(name):
     A = _norm_cases()[name]
+    x = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     value = frobenius(A)
     assert type(value) is float
-    assert _bits(value) == _bits(np.linalg.norm(A))
+    assert _bits(value) == _bits(math.sqrt(np.vdot(x, x).real))
 
 
-def test_frobenius_matches_numpys_norm_on_random_blocks():
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53."""
+    return n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+
+
+def test_frobenius_agrees_with_numpys_norm_within_the_summation_bound():
+    # both sum n squares, in different orders: each sum is within gamma_n of
+    # the exact one (Higham, Sec. 3.1), each square root halves that and adds
+    # one rounding, so the two norms differ by at most gamma_{n+2} of either
     rng = np.random.default_rng(43)
     for _ in range(2000):
         q = int(rng.integers(1, 9))
         A = random_complex(rng, q, q) * 10.0 ** rng.uniform(-150, 150)
-        assert _bits(frobenius(A)) == _bits(np.linalg.norm(A))
-        assert _bits(frobenius(A.real)) == _bits(np.linalg.norm(A.real))
+        for B, n in ((A, 2 * A.size), (A.real, A.size)):
+            reference = np.linalg.norm(B)
+            assert abs(frobenius(B) - reference) <= _gamma(n + 2) * reference
+
+
+@pytest.mark.parametrize("name", _NON_FINITE_NORM_CASES)
+def test_frobenius_of_a_nan_or_an_inf_is_not_finite(name):
+    # NaN where np.linalg.norm gives NaN (a NaN part), inf where it gives inf;
+    # a threshold reads the two apart (max(1, NaN) is 1), so they stay apart
+    A = _norm_cases()[name]
+    value, reference = frobenius(A), np.linalg.norm(A)
+    assert type(value) is float and not math.isfinite(value)
+    assert math.isnan(value) == math.isnan(reference)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [520, 600])
+def test_frobenius_scales_by_powers_of_two_bit_for_bit_past_overflow(k):
+    # the squares of 2^k B overflow: the rescale is exact, and numpy warns of nothing
+    rng = np.random.default_rng(47)
+    for _ in range(500):
+        q = int(rng.integers(1, 9))
+        B = random_complex(rng, q, q)
+        for C in (B, B.real.copy()):
+            assert frobenius(2.0 ** k * C) == 2.0 ** k * frobenius(C)
+
+
+@pytest.mark.filterwarnings("error")
+def test_frobenius_is_finite_wherever_the_norm_is_representable():
+    big = np.finfo(float).max
+    assert frobenius([big, 0.0]) == big
+    assert frobenius(np.full((2, 2), big / 2)) == big
+    assert frobenius([complex(big, 0.0), complex(0.0, 1.0)]) == big
+    assert frobenius([big, big]) == math.inf
+    assert frobenius(np.array([1e30, 1e30], dtype=np.float32)) == pytest.approx(math.sqrt(2) * 1e30)
 
 
 _ORDER_ONE_ENTRIES = [
@@ -526,7 +573,7 @@ def test_r_reads_the_slack_record_as_the_public_schur_complement_would():
                         V = tower._spectrum(m - tower.step).range(scale, t)
                         if not (tower.nnd(m) and 0 < V.dim < q):
                             continue
-                        clip = tower._spectrum(m).clip(scale, t)
+                        clip = slack_clip(tower._spectrum(m), scale, t)
                         public = tower.u(m - 1) + M.schur_complement(clip, V, t).S
                         assert frobenius(tower.r(m) - public) <= 16 * eps * scale
                         checked += 1
@@ -556,7 +603,7 @@ def test_the_range_of_a_slack_has_the_rank_of_its_clip():
             scale = tower._scale(tower._sizes[m])
             record = tower._spectrum(m - tower.step)
             try:
-                clip = record.clip(scale, t)
+                clip = slack_clip(record, scale, t)
             except (M.NotPSD, M.NotHermitian):
                 continue
             assert record.range(scale, t).dim == M.numerical_rank(clip, t)
@@ -837,10 +884,10 @@ def _reference_disjoint(tower, last):
     scale = tower._scale(max(tower._sizes[m], np.linalg.norm(last)))
     D = last - R
     try:
-        D = _Spectrum(D).clip(scale, t)
+        D = slack_clip(_Spectrum(D), scale, t)
     except (M.NotPSD, M.NotHermitian):
         pass
-    K = tower._spectrum(m - tower.step).clip(scale, t)
+    K = slack_clip(tower._spectrum(m - tower.step), scale, t)
     return M.ranges_intersect_trivially(D, K, t)
 
 
@@ -917,7 +964,7 @@ def test_unique_split_matches_the_reference_rank_sum():
 @pytest.mark.parametrize("A", [[[np.nan, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]]], ids=["nan", "skew"])
 def test_a_clip_factorizes_only_a_hermitian_matrix(factorizations, A):
     with pytest.raises(M.NotHermitian, match="^matrix is not Hermitian within the working-scale tolerance$"):
-        _Spectrum(np.array(A, dtype=complex)).clip(1.0, Tolerance())
+        slack_clip(_Spectrum(np.array(A, dtype=complex)), 1.0, Tolerance())
     assert factorizations["eigh"] == 0
 
 
@@ -929,3 +976,70 @@ def test_longdouble_alpha_gives_complex128(length):
     assert report.R is not None
     arrays = [*report.kappa, *report.u, report.R, *report.canonical]
     assert {a.dtype for a in arrays} == {np.dtype(complex)}
+
+
+def _verdict_calls(s, alpha, A, V):
+    """(name, call) for every public verdict on the sequence s and on the matrix A with V.
+
+    Each call returns a tuple of verdicts.  Against s the class tests take s
+    itself, s with its last block moved by a rank-one PSD block, and s with a
+    NaN there; the interval tests take the same three candidates.
+    """
+    last = s[len(s) - 1]
+    moved = last + np.ones_like(last)
+    nan = last.copy()
+    nan[0, 0] = np.nan
+    v = np.ones((A.shape[0], 1)) / math.sqrt(A.shape[0])
+    others = [M.MomentSequence(list(s)[:-1] + [block]) for block in (last, moved, nan)]
+    calls = [
+        ("is_hnnd", lambda: (M.is_hnnd(s),)),
+        ("is_hnnde", lambda: (M.is_hnnde(s),)),
+        ("is_knnd", lambda: (M.is_knnd(s, alpha),)),
+        ("is_knnde", lambda: (M.is_knnde(s, alpha),)),
+        ("classify_hamburger", lambda: (lambda r: (r.is_hnnd, r.is_hnnde))(M.classify_hamburger(s))),
+        ("classify_stieltjes", lambda: (lambda r: (r.is_knnd, r.is_knnde))(M.classify_stieltjes(s, alpha))),
+        ("psd_verdict", lambda: (psd_verdict(A),)),
+        ("loewner_leq", lambda: (loewner_leq(A, 2 * A), loewner_leq(2 * A, A))),
+        ("in_lcr", lambda: (M.in_lcr(A, V, 0 * A), M.in_lcr(A, V, A))),
+        ("is_unique_split", lambda: (M.is_unique_split(A, V, 0 * A, A), M.is_unique_split(A, V, A, 0 * A))),
+        ("is_unique_split_rank_one", lambda: (M.is_unique_split(A, V, A - v @ v.T, v @ v.T),)),
+        ("schur_report", lambda: tuple(M.schur_report(A, V)[3].values())),
+    ]
+    for i, (candidate, r) in enumerate(zip((last, moved, nan), others)):
+        calls += [
+            (f"in_extension_interval[{i}]", lambda c=candidate: (
+                M.in_extension_interval(s, c, "given_s2n"), M.in_extension_interval(s, c, "r_upper"))),
+            (f"in_extension_interval_stieltjes[{i}]", lambda c=candidate: (
+                M.in_extension_interval_stieltjes(s, alpha, c, "given_sm"),
+                M.in_extension_interval_stieltjes(s, alpha, c, "r_upper"))),
+            (f"same_class[{i}]", lambda r=r: (M.same_class(s, r), M.same_class_stieltjes(s, r, alpha))),
+            (f"Tower.conditions[{i}]", lambda r=r: Tower.of(s).conditions(r) + Tower.of(s, None, alpha).conditions(r)),
+        ]
+    return calls
+
+
+def test_every_public_verdict_is_a_python_bool():
+    # callers may test a verdict with "is True": a numpy.bool_ fails that
+    rng = np.random.default_rng(59)
+    alpha = -0.5
+    nnd = stieltjes_measure_sequence(rng, alpha, 2, 5, max_rank=1)
+    below = M.MomentSequence(list(nnd)[:-1] + [nnd[4] - 10 * np.eye(2)])
+    nan_seq = [b.copy() for b in nnd]
+    nan_seq[2][1, 1] = np.nan
+    A = random_psd(rng, 3, 2)
+    V = random_subspace(rng, 3, 1)
+    A_nan = A.copy()
+    A_nan[0, 1] = np.nan
+    cases = [(nnd, A), (below, np.diag([1.0, -1.0, 0.5])), (M.MomentSequence(nan_seq), A_nan)]
+    seen = {}
+    for s, matrix in cases:
+        for name, call in _verdict_calls(s, alpha, matrix, V):
+            try:
+                values = call()
+            except M.MomentSchurError:
+                continue
+            for value in values:
+                assert type(value) is bool, (name, type(value))
+                seen.setdefault(name.split("[")[0], set()).add(value)
+    assert set().union(*seen.values()) == {True, False}
+    assert len(seen) == 16, sorted(seen)

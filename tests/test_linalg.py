@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_complex, random_psd, random_subspace
+from conftest import random_complex, random_psd, random_subspace, slack_clip
 
 from momentschur import (
     DimensionMismatch,
@@ -113,7 +113,7 @@ class TestPsdSqrt:
 
 def clip(A, scale):
     """The clip a tower takes of a slack A at working scale ``scale``."""
-    return _Spectrum(np.asarray(A, dtype=complex)).clip(scale, Tolerance())
+    return slack_clip(_Spectrum(np.asarray(A, dtype=complex)), scale, Tolerance())
 
 
 class TestPsdClip:

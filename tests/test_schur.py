@@ -591,6 +591,44 @@ class TestSchurReport:
                 for name in ("S", "P_fiber", "complement"):
                     assert np.array_equal(getattr(report[0], name), getattr(expected[0], name))
 
+    @pytest.mark.parametrize("c", [1.0, 1e9, 1e11, 2.0 ** 40])
+    def test_the_cap_dimension_is_taken_at_unit_scale(self, c):
+        # ran A ∩ V = {0} and S = 0: rank [A V] cut at 1e-10 sigma_max counted
+        # V's unit column as zero above ||A||_F of about 1e10
+        E2 = subspace_from_columns(np.array([[0.0], [1.0]]))
+        result, rank_A, rank_S, checks = schur_report(np.diag([c, 0.0]), E2, T)
+        assert (rank_A, rank_S) == (1, 0) and not result.S.any()
+        assert all(checks.values()), checks
+
+    def test_a_power_of_two_scaling_above_unit_scale_changes_no_rank_or_check(self):
+        scaled = 0
+        for q in range(1, 9):
+            for d in range(q + 1):
+                for k in range(40):
+                    A, V = report_case(np.random.default_rng([q, d, k, 99]), q, d)
+                    if frobenius(A) < 1:
+                        continue
+                    report = schur_report(A, V, T)
+                    big = schur_report(2.0 ** 40 * A, V, T)
+                    assert big[1:] == report[1:], (q, d, k)
+                    assert np.array_equal(big[0].S, 2.0 ** 40 * report[0].S)
+                    scaled += 1
+        assert scaled > 500, scaled
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "A, k",
+        [(np.array([[1.0, 2.0 ** -50], [0.0, 1.0]]), 664), (np.diag([1.0, 0.5]), 600)],
+        ids=["2^664 near-Hermitian", "2^600 diagonal"],
+    )
+    def test_inputs_whose_norms_square_past_overflow_get_their_scaled_copys_checks(self, A, k):
+        # every ||.||_F of 2^k A squares past the largest float; scaled back
+        # by 2^-k (below unit scale, where ranks may differ) or left at unit
+        # scale, the checks are the same, and numpy warns of nothing
+        big = schur_report(2.0 ** k * A, E1, T)
+        assert big[3] == schur_report(2.0 ** -k * A, E1, T)[3] == schur_report(A, E1, T)[3]
+        assert all(big[3].values())
+
     def test_raises_what_schur_complement_raises(self):
         with pytest.raises(NotPSD):
             schur_report(np.diag([1.0, -1.0]), E1)
