@@ -276,7 +276,7 @@ class Tower:
     [alpha, oo): the shifted tower joins in and every index holds a slack.
     A tower keeps every quantity it computes that depends on the sequence,
     the tolerance and alpha alone: each Theta_k of both towers, the shift,
-    every Hankel verdict, extendability verdict and R_m, one ``_Spectrum``
+    every Hankel verdict and R_m, the extendability verdict, one ``_Spectrum``
     record per slack (one eigendecomposition serves its clip, its range and
     R_m's Schur step at every scale), the Hermitian part and norm of each
     interval end that passed the Hermitian test (a failed test is not kept),
@@ -285,6 +285,9 @@ class Tower:
     copies whole.  Kept arrays are read-only or private to their record; the
     arrays a tower hands out are fresh, writable copies (the blocks of the
     sequence itself stay read-only).
+    Extendability is one rule, read at the top index m alone: s_0..s_m is
+    nonnegative definite and ran kappa_m lies inside ran kappa_{m-step}; at
+    an odd m of the plain tower, the minimal completion is nonnegative definite.
     The README's "One engine for both moment problems" sets out u, kappa and R.
     """
 
@@ -294,12 +297,11 @@ class Tower:
         self.alpha = alpha
         problem = _PROBLEMS[alpha is None]
         self.step, self.given, self._not_nnd, self._name, self._too_short = problem
-        # one dict per quantity, read in place: one memo decorator for all six
+        # one dict per quantity, read in place: one memo decorator for them all
         # costs 4.3% of the hamburger workload's throughput
         self._thetas = {}
         self._nnds = {}
         self._spectra = {}
-        self._nndes = {}
         self._rs = {}
         self._ends = {}
 
@@ -431,28 +433,25 @@ class Tower:
         w, U = self._spectrum(m)._band(scale, t)
         return _rebuilt(w, U), w, U, self._spectrum(m - self.step).range(scale, t)
 
-    def nnde(self, m: int) -> bool:
-        """Is s_0..s_m a section of a longer nonnegative definite sequence?
+    @cached_property
+    def extendable(self) -> bool:
+        """Is the whole sequence a section of a longer nonnegative definite one?
 
-        s_0 alone must be PSD.  At a slack index m > 0, s_0..s_{m-1} must be
-        extendable and kappa_m PSD with ran kappa_m inside ran kappa_{m-step}.
-        At an odd m the plain tower has no slack: the minimal completion
+        At a slack index m: s_0..s_m must be nonnegative definite and, for
+        m > 0, kappa_m PSD with ran kappa_m inside ran kappa_{m-step}.  At an
+        odd m the plain tower has no slack: the minimal completion
         s_{m+1} = u_m must leave the sequence nonnegative definite.
         """
-        if m not in self._nndes:
-            self._nndes[m] = self._nnde(m)
-        return self._nndes[m]
-
-    def _nnde(self, m: int) -> bool:
+        m = self.s.kappa
         if m % self.step:
             # u_m reads s_0..s_m: it is a NaN block when they hold a NaN or an
             # inf, and the completion then fails the Hermitian test
-            completed = self.s.prefix(m + 1).appended(self.u(m))
+            completed = self.s.appended(self.u(m))
             return psd_verdict(block_hankel(completed, (m + 1) // 2), self.t)
-        if m == 0:
-            return self.nnd(0)
-        if not self.nnde(m - 1):
-            return False
+        if m == 0 or not self.nnd(m):
+            return self.nnd(m)
+        # nnd(m) holds: s_0..s_{m-1} is extendable (s_m extends it) and
+        # kappa_m, the Schur complement of the last Hankel matrix, is PSD
         try:
             k_m, *_, V = self._clipped(m)
         except (NotPSD, NotHermitian):
@@ -612,13 +611,12 @@ def is_hnnd(s, tol=None) -> bool:
 def is_hnnde(s, tol=None) -> bool:
     """Is the sequence a section of a longer nonnegative definite sequence?
 
-    Both parities are accepted.  Odd length (kappa = 2n): the even-length
-    prefix must be extendable and L_n must be PSD with ran L_n inside
-    ran L_{n-1}.  Even length: the candidate s_{2n} := Theta_n (the minimal
-    completion, forcing L_n = 0) must give a nonnegative definite sequence.
+    Both parities are accepted.  Odd length (kappa = 2n): the sequence must
+    be nonnegative definite with ran L_n inside ran L_{n-1}.  Even length:
+    the candidate s_{2n} := Theta_n (the minimal completion, forcing L_n = 0)
+    must give a nonnegative definite sequence.
     """
-    tower = Tower.of(s, tol)
-    return tower.nnde(tower.s.kappa)
+    return Tower.of(s, tol).extendable
 
 
 def r_upper(s, n: int, tol=None) -> Array:
@@ -674,7 +672,7 @@ def classify_hamburger(s, tol=None) -> HamburgerReport:
         q=s.q,
         n=m // 2,
         is_hnnd=tower.nnd(m),
-        is_hnnde=tower.nnde(m),
+        is_hnnde=tower.extendable,
         theta=tower.u_stack[-1].copy(),
         L=tower.kappa_stack[-1].copy(),
         L_prev=tower.kappa_stack[0].copy() if m >= 2 else None,

@@ -75,12 +75,11 @@ def u_lower(s, alpha: float, m: int, tol=None) -> Array:
 def is_knnde(s, alpha: float, tol=None) -> bool:
     """Is the sequence a section of a longer Stieltjes nonnegative sequence?
 
-    Recursive: the prefix must be extendable and kappa_m must be PSD with
-    ran kappa_m inside ran kappa_{m-1}.  Base case m = 0: s_0 PSD (the
-    completion s_1 := alpha s_0 always works then).
+    The sequence must be Stieltjes nonnegative definite with ran kappa_m
+    inside ran kappa_{m-1}.  At m = 0 that is s_0 PSD (the completion
+    s_1 := alpha s_0 always works then).
     """
-    tower = Tower.of(s, tol, alpha)
-    return tower.nnde(tower.top())
+    return Tower.of(s, tol, alpha).extendable
 
 
 def r_upper_stieltjes(s, alpha: float, m: int, tol=None) -> Array:
@@ -127,7 +126,7 @@ def classify_stieltjes(s, alpha: float, tol=None) -> StieltjesReport:
         m=m,
         alpha=float(alpha),
         is_knnd=tower.nnd(m),
-        is_knnde=tower.nnde(m),
+        is_knnde=tower.extendable,
         kappa=tuple(tower.kappa_stack.copy()),
         u=tuple(tower.u_stack.copy()),
         R=R,

@@ -99,7 +99,7 @@ def test_the_cli_imports_no_private_name():
 
 # ROADMAP item 6's ceiling on the code lines of src/.  Raising it needs a
 # row in item 6's ledger and a line in CHANGES.md
-CODE_LINE_CEILING = 1312
+CODE_LINE_CEILING = 1305
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENCODING, tokenize.ENDMARKER}

@@ -541,16 +541,20 @@ def test_one_eigh_per_slack_serves_every_scale(factorizations):
     # kappa_j is clipped as level j's slack, and its range is taken as level
     # j + 1's previous slack, at a larger scale: one eigh serves both, and
     # the range needs no SVD or pseudo-inverse of its own.  R_m's Schur step
-    # reads kappa_m's eigh too: 11 slack records, 9 in Theta's pinv
+    # and the extendability test read kappa_m's eigh too: 2 slack records
+    # (kappa_10 and kappa_9), 9 in Theta's pinv
     M.classify_stieltjes(_four_atom_sequence(), 0.5)
-    assert factorizations["eigh"] == 20
+    assert factorizations["eigh"] == 11
     assert factorizations["svd"] == 0
-    assert sum(factorizations.values()) == 23
+    assert sum(factorizations.values()) == 13
 
 
 def test_a_hamburger_classify_takes_each_range_from_its_slack_spectrum(factorizations):
+    # 4 eigh: the pinvs in Theta_4 and Theta_5, and the records of L_5 and
+    # L_4, which serve R_5, ran L_4 and extendability; the one eigvalsh is
+    # the nnd verdict of H_5
     M.classify_hamburger(_four_atom_sequence())
-    assert factorizations == Counter(eigh=4, eigvalsh=2)
+    assert factorizations == Counter(eigh=4, eigvalsh=1)
 
 
 def test_r_reads_the_slack_record_as_the_public_schur_complement_would():

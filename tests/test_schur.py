@@ -437,16 +437,19 @@ def recomputed_report(A, V, t):
 
     ran A and every rank come from SVDs of their own, and S_psd from a PSD
     verdict on S, as the schur command once computed them beside the kernel.
-    The remainder Y = A - S meets V only in 0 when W^H Y, W a basis of
-    V-perp, has the rank of Y, both cut at A's scale.
+    dim(ran A ∩ V) is rank A + dim V - rank [A / max(1, ||A||_F), V], so
+    that V's unit columns count at every scale of A.  The remainder
+    Y = A - S meets V only in 0 when W^H Y, W a basis of V-perp, has the rank
+    of Y, both cut at A's scale.
     """
     result = schur_complement(A, V, t)
     M = herm_part(as_matrix(A))
     Y = result.complement
-    thr = as_tolerance(t).threshold(max(frobenius(M), np.linalg.norm(Y, 2)))
+    norm = frobenius(M)
+    thr = as_tolerance(t).threshold(max(norm, np.linalg.norm(Y, 2)))
     range_A = subspace_from_columns(M, t)
     rank_S = numerical_rank(result.S, t)
-    cap_dim = range_A.dim + V.dim - numerical_rank(np.hstack([M, V.basis]), t)
+    cap_dim = range_A.dim + V.dim - numerical_rank(np.hstack([M / max(1.0, norm), V.basis]), t)
     checks = {
         "S_psd": psd_verdict(result.S, t),
         "S_leq_A": loewner_leq(result.S, M, t),
@@ -484,6 +487,14 @@ class TestSchurReport:
                 for name in ("S", "P_fiber", "complement"):
                     assert np.array_equal(getattr(result, name), getattr(expected[0], name))
                 assert (rank_A, rank_S, checks) == expected[1:], (q, d, k)
+
+    def test_matches_the_reference_above_1e10(self):
+        # report_case scales stop at 1e6; at A's own scale V's unit column
+        # e2 would fall under the threshold of rank [A V] and count as inside ran A
+        A, V = np.diag([1e11, 0.0]), subspace_from_columns(np.array([[0.0], [1.0]]))
+        report = schur_report(A, V, T)
+        assert report[1:] == recomputed_report(A, V, T)[1:] == (1, 0, report[3])
+        assert all(report[3].values())
 
     @pytest.mark.parametrize("q", range(1, 9))
     def test_a_correct_s_passes_every_check(self, q):
