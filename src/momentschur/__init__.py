@@ -42,7 +42,6 @@ from .linalg import (
     loewner_leq,
     numerical_rank,
     pinv,
-    range_included,
     ranges_intersect_trivially,
     subspace_from_columns,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "pinv",
     "r_upper",
     "r_upper_stieltjes",
-    "range_included",
     "ranges_intersect_trivially",
     "same_class",
     "same_class_stieltjes",

@@ -71,7 +71,10 @@ class MomentSequence:
     further questions under the same pair reuse it.  The tower is freed with
     the sequence or when another key replaces it; until then it takes about
     1.7 times the sequence's own bytes (Hamburger) or 5.5 times (Stieltjes,
-    which adds the shift).
+    which adds the shift).  A sequence made by ``prefix``, ``with_last`` or
+    ``appended``, by the JSON parser, by ``alpha_shift`` or as a canonical
+    representative holds a stack built from blocks already checked, without
+    checking them again, and does not share its parent's tower.
     """
 
     __slots__ = ("stack", "blocks", "_norms", "_held")
@@ -130,14 +133,17 @@ class MomentSequence:
         return self.blocks[j]
 
     def prefix(self, length: int) -> "MomentSequence":
+        """s_0, ..., s_{length-1}, a view of this sequence's stack."""
         if not 1 <= length <= len(self):
             raise IndexOutOfRange(f"prefix length {length} outside 1..{len(self)}")
         return object.__new__(MomentSequence)._hold(self.stack[:length])
 
     def with_last(self, block) -> "MomentSequence":
+        """This sequence with its last block replaced by ``block``."""
         return self._joined(self.stack[:-1], block)
 
     def appended(self, block) -> "MomentSequence":
+        """This sequence followed by ``block``."""
         return self._joined(self.stack, block)
 
     def _joined(self, head: Array, block) -> "MomentSequence":
@@ -225,7 +231,10 @@ def theta(s, n: int, tol=None) -> Array:
     """Theta_n = z_{n,2n-1} H_{n-1}^+ y_{n,2n-1}, the minimal admissible s_{2n}.
 
     Theta_0 is the zero block.  The formula is total: it does not require the
-    sequence to be nonnegative definite.
+    sequence to be nonnegative definite.  It runs ``pinv`` on what it is
+    given, so a block holding a NaN or an inf may raise NoConvergence here,
+    where the tower holds a NaN block for such a Theta and reports the
+    sequence not nonnegative definite.
     """
     s = MomentSequence.coerce(s)
     t = as_tolerance(tol)
@@ -288,7 +297,11 @@ class Tower:
     Extendability is one rule, read at the top index m alone: s_0..s_m is
     nonnegative definite and ran kappa_m lies inside ran kappa_{m-step}; at
     an odd m of the plain tower, the minimal completion is nonnegative definite.
-    The README's "One engine for both moment problems" sets out u, kappa and R.
+    The three quantities: u_j, the lowest admissible block at index j + 1
+    (u_{-1} = 0, u_{2k-1} = Theta_k(s), u_{2k} = alpha s_{2k} + Theta_k of
+    the shift); the slack kappa_j = s_j - u_{j-1}; and the tight upper bound
+    R_m = u_{m-1} + S(kappa_m, ran kappa_{m-step}), with step 2 on the line
+    and 1 on the half line.
     """
 
     def __init__(self, s, tol=None, alpha=None):
@@ -309,7 +322,22 @@ class Tower:
     def of(cls, s, tol=None, alpha=None) -> "Tower":
         """The tower s holds, if it was made for (tol, alpha); else a new one s then holds.
 
-        Its answers are those of a fresh ``Tower(s, tol, alpha)``, bit for bit.
+        Its answers are those of a fresh ``Tower(s, tol, alpha)``, bit for
+        bit, and its argument errors come in the same order.  Every public
+        function whose tower is of s itself takes it: ``classify_*``,
+        ``is_*nnd*``, ``in_extension_interval*``, ``same_class*``,
+        ``canonical_rep*``, ``l_matrix``, ``kappa``, ``u_lower`` and
+        ``r_upper*``; ``theta`` computes directly.  A quantity at level k
+        reads only s_0..s_k, the tolerance and alpha, so the tower of s
+        answers for each prefix of s too (``r_upper(s, n)`` below the last
+        index).  A sequence holds one tower, with no size to set; it lives
+        until s is freed or a question under another key replaces it.  Only
+        an alpha that is None or a float, with a float ``eps_rel``, is held
+        (``_key``); any other call gets a tower of its own.  The tower reads
+        a twin of s, so nothing it keeps points back at s, which is freed
+        without the cycle collector.  Threads calling on one sequence at
+        once may compute a quantity twice; each call keeps the tower it
+        took, so the answers stay the same.
         """
         s = MomentSequence.coerce(s)
         key = _key(tol, alpha)

@@ -529,12 +529,6 @@ def _loewner_between(a, x, b, t: Tolerance) -> bool:
     return _psd_floor(w[0], t, max(a[1], x[1])) and _psd_floor(w[1], t, max(x[1], b[1]))
 
 
-def range_included(B, A, tol=None) -> bool:
-    """ran B inside ran A: ``Subspace.contains`` on the span of A's columns."""
-    t = as_tolerance(tol)
-    return subspace_from_columns(A, t).contains(B, t)
-
-
 def ranges_intersect_trivially(A, B, tol=None) -> bool:
     """ran A and ran B meet only in 0, decided by the rank sum: rank [A B] = rank A + rank B.
 

@@ -24,6 +24,7 @@ from .linalg import (
     Subspace,
     _checked,
     _lapack,
+    _loewner_leq,
     _pinv_rule,
     _psd_certified,
     _psd_floor,
@@ -220,7 +221,12 @@ def variational_value(A, V: Subspace, x, tol=None) -> float:
 
 
 def in_lcr(A, V: Subspace, X, tol=None) -> bool:
-    """Membership in {X : 0 <= X <= A (Loewner) and ran X inside V}."""
+    """Membership in {X : 0 <= X <= A (Loewner) and ran X inside V}.
+
+    A and X pass one Hermitian test each.  X is PSD at the floor of its own
+    spectral radius, and X <= A is ``loewner_leq``'s verdict, floored at the
+    larger operand norm: one ``eigvalsh`` each.
+    """
     t = as_tolerance(tol)
     MA = as_matrix(A)
     MX = as_matrix(X)
@@ -229,14 +235,7 @@ def in_lcr(A, V: Subspace, X, tol=None) -> bool:
     if V.ambient_dim != MA.shape[0]:
         raise DimensionMismatch("V has the wrong ambient dimension")
     a, x = [_checked(M, t, "in_lcr requires Hermitian A and X") for M in (MA, MX)]
-    # one eigvalsh of X and A - X stacked: X floored at its own spectral
-    # radius, A - X at the larger operand norm, as loewner_leq floors it;
-    # both are written into one empty stack, as _loewner_between writes them
-    D = np.empty((2,) + x[0].shape, dtype=complex)
-    D[0] = x[0]
-    np.subtract(a[0], x[0], out=D[1])
-    w = _lapack("eigvalsh", D)
-    return _psd_floor(w[0], t) and _psd_floor(w[1], t, max(x[1], a[1])) and V.contains(MX, t)
+    return _psd_floor(_lapack("eigvalsh", x[0]), t) and _loewner_leq(x, a, t) and V.contains(MX, t)
 
 
 def decompose(A, V: Subspace, tol=None) -> tuple[Array, Array]:

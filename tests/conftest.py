@@ -1,4 +1,4 @@
-"""Shared generators for the test suite.
+"""Shared generators for the test suite, and the README's sections.
 
 Everything random is seeded by the caller, and every generated object has its
 key property guaranteed *by construction* rather than by the code under test:
@@ -9,12 +9,23 @@ chosen orthogonal to it.
 """
 
 from collections import Counter
+from pathlib import Path
+import re
 
 import numpy as np
 import pytest
 
 from momentschur import MomentSequence, Subspace
 from momentschur.linalg import _rebuilt
+
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def readme_section(title):
+    """The README's text under the heading ``title``, up to the next heading of its level or above."""
+    level, = re.findall(rf"^(#+) {re.escape(title)}\n", README, flags=re.M)
+    pattern = rf"^{level} {re.escape(title)}\n(.*?)(?=^#{{1,{len(level)}}} |\Z)"
+    return re.search(pattern, README, flags=re.M | re.S)[1]
 
 
 @pytest.fixture

@@ -1,17 +1,21 @@
 """Every name a module of the package imports is used in that module,
-every function or class a module defines has a caller in the package, and
-the package stays within its code-line ceiling.
+every function, class or method a module defines has a caller in the
+package, and the package stays within its code-line ceiling.
 
 ``__init__.py`` is left out of the import check: it imports names to
-re-export them.  A name it lists in ``__all__`` counts as called.
+re-export them.  A name it lists in ``__all__`` counts as called, and so
+does a method the README's API section names.
 """
 
 import ast
 import io
 from pathlib import Path
+import re
 import tokenize
 
 import pytest
+
+from conftest import readme_section
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "momentschur"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -42,11 +46,14 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def uncalled_definitions(sources: dict[str, str]) -> list[str]:
-    """Module-level defs and classes that no module references and __all__ omits.
+def uncalled_definitions(sources: dict[str, str], named: frozenset[str] = frozenset()) -> list[str]:
+    """Module-level defs and classes, and the methods of those classes, that
+    no module references.
 
     ``sources`` maps module names to their text.  A reference is a name read
-    anywhere, an attribute, or an imported name.
+    anywhere, an attribute, or an imported name; a module-level name listed
+    in ``__all__`` counts as one, and so does a method whose ``Class.method``
+    is in ``named``.  Dunder methods are Python's to call.
     """
     referenced, defined = set(), []
     for module, source in sources.items():
@@ -62,25 +69,42 @@ def uncalled_definitions(sources: dict[str, str]) -> list[str]:
                 isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
             ):
                 referenced.update(ast.literal_eval(node.value))
-        defined += [
-            f"{module}.{node.name}"
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        ]
-    return [name for name in defined if name.rsplit(".", 1)[1] not in referenced]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{module}.{node.name}.{method.name}", method.name)
+                    for method in node.body
+                    if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not method.name.startswith("__")
+                    and f"{node.name}.{method.name}" not in named
+                ]
+    return [qualified for qualified, name in defined if name not in referenced]
 
 
 def test_the_check_sees_a_definition_without_a_caller():
     sources = {
         "a": "def used():\n    pass\n\n\ndef exported():\n    pass\n\n\nclass Dead:\n    pass\n",
         "b": "from .a import used\n\n__all__ = ['exported']\n\n\ndef helper():\n    return used\n",
+        "c": (
+            "class K:\n    def __len__(self):\n        return 0\n\n"
+            "    def called(self):\n        return self.documented\n\n"
+            "    def documented(self):\n        pass\n\n"
+            "    def named(self):\n        pass\n\n"
+            "    def dead(self):\n        pass\n\n\n__all__ = ['K']\n"
+        ),
     }
-    assert uncalled_definitions(sources) == ["a.Dead", "b.helper"]
+    assert uncalled_definitions(sources, frozenset({"K.named"})) == [
+        "a.Dead", "b.helper", "c.K.called", "c.K.dead",
+    ]
 
 
 def test_every_definition_has_a_caller():
+    # the README's API section names the methods that are public conveniences
+    named = frozenset(re.findall(r"`([A-Za-z_]\w*\.[A-Za-z_]\w*)", readme_section("Public API")))
     sources = {p.stem: p.read_text() for p in SOURCES}
-    assert uncalled_definitions(sources) == []
+    assert uncalled_definitions(sources, named) == []
 
 
 def test_the_cli_imports_no_private_name():
@@ -99,7 +123,7 @@ def test_the_cli_imports_no_private_name():
 
 # ROADMAP item 6's ceiling on the code lines of src/.  Raising it needs a
 # row in item 6's ledger and a line in CHANGES.md
-CODE_LINE_CEILING = 1305
+CODE_LINE_CEILING = 1297
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENCODING, tokenize.ENDMARKER}

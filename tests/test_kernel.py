@@ -617,15 +617,15 @@ def test_the_range_of_a_slack_has_the_rank_of_its_clip():
 
 def test_range_verdicts_factorize_no_orthonormal_basis(factorizations):
     # V.contains projects with V's basis: in_lcr makes only its two PSD
-    # verdicts, stacked in one eigvalsh, and is_unique_split one SVD of Y
-    # and of its part in V-perp, stacked
+    # verdicts, one eigvalsh each, and is_unique_split one SVD of Y and of
+    # its part in V-perp, stacked
     rng = np.random.default_rng(5)
     A = random_psd(rng, 3, 3)
     V = random_subspace(rng, 3, 2)
     X, Y = M.decompose(A, V)
     factorizations.clear()
     assert M.in_lcr(A, V, X)
-    assert factorizations == Counter(eigvalsh=1)
+    assert factorizations == Counter(eigvalsh=2)
     factorizations.clear()
     assert M.is_unique_split(A, V, X, Y)
     assert factorizations == Counter(svd=1)

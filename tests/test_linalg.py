@@ -15,7 +15,6 @@ from momentschur import (
     loewner_leq,
     numerical_rank,
     pinv,
-    range_included,
     ranges_intersect_trivially,
     subspace_from_columns,
 )
@@ -191,27 +190,27 @@ class TestNumericalRank:
 
 
 class TestProjectors:
-    """The range projector M M^+, as ``range_included`` judges with it."""
+    """The span of M's columns, as ``subspace_from_columns`` builds it and ``contains`` judges it."""
 
     def test_range_projector_identity(self):
-        assert range_included(np.array([[1.0], [-2.0]]), np.eye(2))
+        assert subspace_from_columns(np.eye(2)).contains(np.array([[1.0], [-2.0]]))
 
     def test_range_projector_axis(self):
         axis = np.array([[1.0], [0.0]])
-        assert range_included(np.diag([3.0, 0.0]), axis)
-        assert not range_included(np.array([[0.0], [1.0]]), axis)
+        assert subspace_from_columns(axis).contains(np.diag([3.0, 0.0]))
+        assert not subspace_from_columns(axis).contains(np.array([[0.0], [1.0]]))
 
     def test_range_projector_diagonal_span(self):
         span = np.array([[1.0], [1.0]])
-        assert range_included(np.array([[2.0, -1.0], [2.0, -1.0]]), span)
-        assert not range_included(np.array([[1.0], [0.0]]), span)
+        assert subspace_from_columns(span).contains(np.array([[2.0, -1.0], [2.0, -1.0]]))
+        assert not subspace_from_columns(span).contains(np.array([[1.0], [0.0]]))
 
     def test_projector_laws_random(self):
         rng = np.random.default_rng(29)
         M = random_complex(rng, 5, 2)
-        assert range_included(M, M)
-        assert range_included(M @ random_complex(rng, 2, 3), M)
-        assert not range_included(random_complex(rng, 5, 1), M)
+        assert subspace_from_columns(M).contains(M)
+        assert subspace_from_columns(M).contains(M @ random_complex(rng, 2, 3))
+        assert not subspace_from_columns(M).contains(random_complex(rng, 5, 1))
 
     def test_orthonormal_columns_rank(self):
         rng = np.random.default_rng(31)
@@ -250,11 +249,11 @@ class TestSubspace:
         assert zero.contains(1e-11 * B)
         assert whole.contains(B)
 
-    def test_contains_agrees_with_range_included(self):
+    def test_contains_a_product_with_the_basis(self):
         rng = np.random.default_rng(43)
         V = random_subspace(rng, 4, 2)
         inside = V.basis @ random_complex(rng, 2, 3)
-        assert V.contains(inside) and range_included(inside, V.basis)
+        assert V.contains(inside)
         assert not V.contains(random_complex(rng, 4, 1))
 
     @pytest.mark.parametrize("d", [0, 2, 3])
@@ -394,20 +393,20 @@ class TestPsdPredicates:
 
 class TestRangePredicates:
     def test_zero_always_included(self):
-        assert range_included(np.zeros((2, 2)), np.diag([1.0, 0.0]))
+        assert subspace_from_columns(np.diag([1.0, 0.0])).contains(np.zeros((2, 2)))
 
     def test_orthogonal_ranges_not_included(self):
-        assert not range_included(np.array([[0.0], [1.0]]), np.diag([1.0, 0.0]))
+        assert not subspace_from_columns(np.diag([1.0, 0.0])).contains(np.array([[0.0], [1.0]]))
 
-    def test_product_range_included(self):
+    def test_product_range_contained(self):
         rng = np.random.default_rng(59)
         A = random_complex(rng, 4, 3)
         B = A @ random_complex(rng, 3, 2)
-        assert range_included(B, A)
+        assert subspace_from_columns(A).contains(B)
 
-    def test_included_row_mismatch(self):
+    def test_contained_row_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            range_included(np.eye(2), np.eye(3))
+            subspace_from_columns(np.eye(3)).contains(np.eye(2))
 
     def test_trivial_intersection_examples(self):
         assert ranges_intersect_trivially(np.diag([1.0, 0.0]), np.zeros((2, 2)))
