@@ -44,8 +44,9 @@ from .linalg import (
     Tolerance,
     _Spectrum,
     _checked,
+    _lapack,
     _loewner_between,
-    _loewner_leq,
+    _psd_floor,
     _rebuilt,
     _skew_within,
     as_matrix,
@@ -53,7 +54,6 @@ from .linalg import (
     frobenius,
     herm_part,
     pinv,
-    psd_verdict,
 )
 from .schur import _complement
 
@@ -288,12 +288,16 @@ class Tower:
     every Hankel verdict and R_m, the extendability verdict, one ``_Spectrum``
     record per slack (one eigendecomposition serves its clip, its range and
     R_m's Schur step at every scale), the Hermitian part and norm of each
-    interval end that passed the Hermitian test (a failed test is not kept),
-    and, once a report needs them, ``kappa_stack`` and ``u_stack``: the
-    slacks and lower ends a report shows, one stack each, which a report
-    copies whole.  Kept arrays are read-only or private to their record; the
-    arrays a tower hands out are fresh, writable copies (the blocks of the
-    sequence itself stay read-only).
+    interval end, and, once a report needs them, ``kappa_stack`` and
+    ``u_stack``: the slacks and lower ends a report shows, one stack each,
+    which a report copies whole.  Kept arrays are read-only or private to
+    their record; the arrays a tower hands out are fresh, writable copies
+    (the blocks of the sequence itself stay read-only).
+    The Hermitian decision is made once, block by block (``_hermitian``),
+    and every verdict reads it: where s_0..s_k pass, each Theta and interval
+    end that reads them is taken Hermitian, and no Hankel matrix or end is
+    tested again.  A slack kappa_j = s_j - u_{j-1} carries s_j's skew, which
+    its record's band, at the same working scale, then passes.
     Extendability is one rule, read at the top index m alone: s_0..s_m is
     nonnegative definite and ran kappa_m lies inside ran kappa_{m-step}; at
     an odd m of the plain tower, the minimal completion is nonnegative definite.
@@ -371,6 +375,19 @@ class Tower:
         # the working scale of the slacks: shifted blocks reach (1 + |alpha|) size
         return size if self.alpha is None else (1.0 + abs(self.alpha)) * size
 
+    @cached_property
+    def _hermitian(self) -> list[bool]:
+        # entry j: s_0..s_j pass the Hermitian test, each block at the working
+        # scale of the prefix it ends, and on the half line each block of the
+        # shift, made from s_{j-1} and s_j, at that of s_0..s_j.  An entry
+        # reads s_0..s_j alone, as every level-j quantity does
+        thresholds = [self.t.threshold(self._scale(size)) for size in self._sizes]
+        passed = [_skew_within(a, thr) for (_, a), thr in zip(self.s.norms, thresholds)]
+        if self.alpha is not None and self.s.kappa:
+            for j, (_, a) in enumerate(self.shift.norms, 1):
+                passed[j] = passed[j] and _skew_within(a, thresholds[j])
+        return list(accumulate(passed, min))
+
     def top(self) -> int:
         """The last index m; the plain tower alone needs it even."""
         if self.s.kappa % self.step:
@@ -391,6 +408,11 @@ class Tower:
                 value = np.full((s.q, s.q), np.nan, dtype=complex)
             else:
                 value = theta(s, k, self.t)
+                if k and self._hermitian[j - 1]:
+                    # Theta_k reads s_0..s_{j-1}, which pass: its exact value
+                    # is Hermitian (theta may have symmetrized it already, and
+                    # herm_part leaves a Hermitian matrix's bits as they are)
+                    value = herm_part(value)
             self._thetas[j] = _frozen(value)
         return self._thetas[j]
 
@@ -435,15 +457,19 @@ class Tower:
     def nnd(self, m: int) -> bool:
         """Is s_0..s_m nonnegative definite?
 
-        H_{m//2} of s must be PSD, and on the half line H_{(m-1)//2} of the
-        shift too.
+        s_0..s_m must pass the Hermitian test (``_hermitian``), and H_{m//2}
+        of s be PSD, and on the half line H_{(m-1)//2} of the shift too.
         """
         if m not in self._nnds:
-            verdict = psd_verdict(block_hankel(self.s, m // 2), self.t)
+            verdict = self._hermitian[m] and self._psd(self.s, m // 2)
             if verdict and self.alpha is not None and m > 0:
-                verdict = psd_verdict(block_hankel(self.shift, (m - 1) // 2), self.t)
+                verdict = self._psd(self.shift, (m - 1) // 2)
             self._nnds[m] = verdict
         return self._nnds[m]
+
+    def _psd(self, s: MomentSequence, n: int) -> bool:
+        # is H_n of s PSD?  Its blocks passed the Hermitian test
+        return _psd_floor(_lapack("eigvalsh", herm_part(block_hankel(s, n))), self.t)
 
     def _spectrum(self, j: int) -> _Spectrum:
         # the one record of kappa_j, which every scale it is judged at reads
@@ -472,17 +498,15 @@ class Tower:
         """
         m = self.s.kappa
         if m % self.step:
-            # u_m reads s_0..s_m: it is a NaN block when they hold a NaN or an
-            # inf, and the completion then fails the Hermitian test
-            completed = self.s.appended(self.u(m))
-            return psd_verdict(block_hankel(completed, (m + 1) // 2), self.t)
+            # u_m reads s_0..s_m, and is Hermitian once they pass
+            return self._hermitian[m] and self._psd(self.s.appended(self.u(m)), (m + 1) // 2)
         if m == 0 or not self.nnd(m):
             return self.nnd(m)
         # nnd(m) holds: s_0..s_{m-1} is extendable (s_m extends it) and
         # kappa_m, the Schur complement of the last Hankel matrix, is PSD
         try:
             k_m, *_, V = self._clipped(m)
-        except (NotPSD, NotHermitian):
+        except NotPSD:
             return False
         return V.contains(k_m, self.t)
 
@@ -511,8 +535,7 @@ class Tower:
 
         lower is u_{m-1}; upper is s_m for ``bound == self.given`` and R_m for
         "r_upper".  Both comparisons read the ends ``_end`` holds and take
-        one ``eigvalsh`` of the two differences, stacked.  An upper end that
-        fails its Hermitian test raises only once lower <= t_last holds.
+        one ``eigvalsh`` of the two differences, stacked.
         """
         t = self.t
         m = self.top()
@@ -528,28 +551,19 @@ class Tower:
             self._r(m)
         elif bound != self.given:
             raise ValueError(f"bound must be '{self.given}' or 'r_upper'")
-        lower = self._end("lower")
-        try:
-            return _loewner_between(lower, checked, self._end(bound), t)
-        except NotHermitian:
-            # an upper end that fails its check raises (again) only once the
-            # lower comparison holds, as when the comparisons ran in turn
-            return _loewner_leq(lower, checked, t) and self._end(bound)
+        return _loewner_between(self._end("lower"), checked, self._end(bound), t)
 
     def _end(self, name: str) -> tuple[Array, float]:
-        """``_checked``'s (Hermitian part, norm) of the interval end ``name``, built once.
+        """(Hermitian part, ||end||_F) of the interval end ``name``, built once.
 
-        The ends are u_{m-1} ("lower"), the given s_m and R_m ("r_upper"),
-        each checked by ``_checked``'s one arithmetic.
+        The ends are u_{m-1} ("lower"), the given s_m and R_m ("r_upper").
+        ``member`` reads them once s_0..s_m is nonnegative definite, so they
+        passed the tower's Hermitian test, and none is tested again.
         """
         if name not in self._ends:
-            m = self.s.kappa
-            if name == self.given:
-                end = self.s.stack[m]
-            else:
-                end = self.u(m - 1) if name == "lower" else self._r(m)
-            H, norm = _checked(end, self.t, "Loewner comparison requires Hermitian matrices")
-            self._ends[name] = _frozen(H), norm
+            m, given = self.s.kappa, name == self.given
+            end = self.s.stack[m] if given else self.u(m - 1) if name == "lower" else self._r(m)
+            self._ends[name] = _frozen(herm_part(end)), self.s.norms[m][0] if given else frobenius(end)
         return self._ends[name]
 
     def conditions(self, r) -> tuple[bool, bool, bool]:
@@ -570,10 +584,10 @@ class Tower:
             raise TooShort(self._too_short)
         t = self.t
         R = self._r(m)
-        # R_m is defined, so H holds s_0..s_{m-1} and passed the Hermitian
-        # test: they are finite, and equal blocks differ by exactly 0.  One
-        # array_equal spares m norms of differences: without it, the
-        # hamburger workload's throughput falls 15% and its p95 rises 55%
+        # R_m is defined, so s_0..s_m passed the Hermitian test: they are
+        # finite, and equal blocks differ by exactly 0.  One array_equal
+        # spares m norms of differences: without it, the hamburger
+        # workload's throughput falls 15% and its p95 rises 55%
         prefix_equal = np.array_equal(r.stack[:m], s.stack[:m]) or all(
             frobenius(r[j] - s.stack[j]) <= t.threshold(s.norms[j][0]) for j in range(m)
         )

@@ -481,15 +481,6 @@ def fiber_projector(M, V: Subspace, tol=None) -> Array:
     return herm_part(np.eye(p) - _pinv(N, t, lambda v: v * norm > t.threshold(norm * norm)) @ N)
 
 
-def psd_verdict(A, tol=None) -> bool:
-    """Is A Hermitian and PSD within tolerance?  Any other matrix is simply not PSD."""
-    t = as_tolerance(tol)
-    M = as_matrix(A)
-    if M.shape[0] != M.shape[1] or not _hermitian(M, t):
-        return False
-    return _psd_floor(_lapack("eigvalsh", herm_part(M)), t)
-
-
 def loewner_leq(A, B, tol=None) -> bool:
     """A <= B in the Loewner order: B - A is PSD within tolerance.
 

@@ -306,44 +306,49 @@ def test_held_answers_equal_fresh_answers_in_any_call_order(data):
 def _skewed_last(c):
     """s_0, s_1, s_2 = 10 I, 10 I, 10 I + an anti-Hermitian part of norm c * 1e-9.
 
-    ||H_1||_F = 20 ||I||_F is twice the block scale, so for 1 < c < 2 the
-    part passes H_1's Hermitian test but not the block-scale test of
-    kappa_2 = s_2 - Theta_1, nor s_2's own test.
+    Each block is judged at the working scale of its prefix, 10 ||I||_F on
+    the line and 1 + |alpha| times that on the half line, where the shift's
+    last block s_2 - alpha s_1 carries the same part.  So the sequence
+    passes the Hermitian test for c below sqrt 2 (1 + |alpha|) and fails it
+    above.
     """
     K = np.array([[0, 1], [-1, 0]], dtype=complex) / (2 * np.sqrt(2))
     return M.MomentSequence([10 * np.eye(2), 10 * np.eye(2), 10 * np.eye(2) + c * 1e-9 * K])
 
 
-def test_failed_checks_of_interval_ends_are_not_kept():
-    s = _skewed_last(1.5)
-    assert M.is_hnnd(s)
+@pytest.mark.parametrize("alpha", [None, -0.5])
+def test_a_last_block_past_its_hermitian_threshold_is_not_nnd_for_every_verdict(alpha):
+    """One Hermitian decision: past the threshold no verdict calls the
+    sequence nnd and every interval test raises the not-nnd error; below it
+    every verdict and both bounds answer, held and fresh alike, also where
+    s_2 alone would fail a test at its own norm (c = 1.5 on the half line)."""
+    widen = 1.0 if alpha is None else 1.0 + abs(alpha)
     T = 10 * np.eye(2)
-    for bound, message in (("given_s2n", "Loewner comparison requires Hermitian matrices"),
-                           ("r_upper", "not Hermitian within the working-scale tolerance")):
-        expected = fingerprint(outcome(lambda x, tol: M.in_extension_interval(x, T, bound), fresh(s)))
-        for _ in range(2):
-            with pytest.raises(M.NotHermitian, match=message):
-                M.in_extension_interval(s, T, bound)
-            held = outcome(lambda x, tol: M.in_extension_interval(x, T, bound), s)
-            assert fingerprint(held) == expected
-    # below the H_1 threshold the ends pass and the answers are kept as usual
-    s = _skewed_last(0.5)
-    for bound in ("given_s2n", "r_upper"):
-        assert M.in_extension_interval(s, T, bound) and M.in_extension_interval(s, T, bound)
+    if alpha is None:
+        nnd, nnde, classify = M.is_hnnd, M.is_hnnde, M.classify_hamburger
+        bounds, not_nnd = ("given_s2n", "r_upper"), M.NotHNND
 
+        def interval(x, bound):
+            return M.in_extension_interval(x, T, bound)
+    else:
+        nnd, nnde = (lambda x: M.is_knnd(x, alpha)), (lambda x: M.is_knnde(x, alpha))
+        classify, bounds, not_nnd = (lambda x: M.classify_stieltjes(x, alpha)), ("given_sm", "r_upper"), M.NotKNND
 
-def test_r_upper_raises_before_any_comparison():
-    # R_2 fails the block-scale Hermitian test.  9 I lies below the lower end
-    # u_1 = Theta_1 = 10 I, so a comparison made first would answer False
-    s = _skewed_last(1.5)
-    below = 9 * np.eye(2)
-    for _ in range(2):
-        with pytest.raises(M.NotHermitian, match="not Hermitian within the working-scale tolerance"):
-            M.in_extension_interval(s, below, "r_upper")
-        with pytest.raises(ValueError, match="bound must be"):
-            M.in_extension_interval(s, below, "middle")
-        # the given end s_2 fails its own test, made only once the lower end holds
-        assert not M.in_extension_interval(s, below, "given_s2n")
+        def interval(x, bound):
+            return M.in_extension_interval_stieltjes(x, alpha, T, bound)
+    for c, passes in ((0.5, True), (1.0, True), (1.5, False)):
+        s = _skewed_last(c * widen)
+        assert nnd(s) is nnde(s) is passes
+        assert (classify(s).R is not None) is passes
+        for bound in bounds:
+            expected = fingerprint(outcome(lambda x, tol: interval(x, bound), fresh(s)))
+            for _ in range(2):
+                if passes:
+                    assert interval(s, bound) is True
+                else:
+                    with pytest.raises(not_nnd, match="not .* nonnegative definite"):
+                        interval(s, bound)
+                assert fingerprint(outcome(lambda x, tol: interval(x, bound), s)) == expected
 
 
 @pytest.mark.parametrize("alpha", [None, -0.5])

@@ -31,7 +31,6 @@ from momentschur.linalg import (
     as_tolerance,
     frobenius,
     loewner_leq,
-    psd_verdict,
 )
 
 NON_FINITE = (
@@ -94,7 +93,7 @@ def test_non_finite_blocks_answer_without_a_warning():
         assert not M.classify_hamburger(inf_first).is_hnnd
         assert not M.is_hnnd(inf_first)
         report = M.classify_stieltjes([1.0, 0.0, np.inf], -0.5)
-        assert not psd_verdict(D)
+        assert not M.is_hnnd([D])
         with pytest.raises(M.NotHermitian, match="candidate last block must be Hermitian"):
             M.in_extension_interval([np.eye(2), np.zeros((2, 2)), 2 * np.eye(2)], D)
         with pytest.raises(M.NotHermitian, match="Loewner comparison requires Hermitian matrices"):
@@ -153,7 +152,7 @@ def test_an_infinite_off_diagonal_entry_fails_the_hermitian_test(value):
     # ||A - A^H||_F and ||A||_F are both inf there; inf <= inf must not pass
     A = _infinite_off_diagonal(value)
     assert not _hermitian(A, linalg.Tolerance())
-    assert not psd_verdict(A)
+    assert not M.is_hnnd([A])
     with pytest.raises(M.NotPSD, match="not Hermitian"):
         M.schur_complement(A, M.Subspace.zero(3))
     s = [np.eye(3), np.zeros((3, 3)), 2 * np.eye(3)]
@@ -372,7 +371,8 @@ def test_schur_complement_factorizes_its_input_once(factorizations, d, eigh, cho
 def test_psd_verdicts_use_eigenvalues_only(factorizations):
     rng = np.random.default_rng(7)
     A, B = random_psd(rng, 3, 2), random_psd(rng, 3, 3)
-    psd_verdict(A)
+    # a cold is_hnnd: one eigvalsh of H_n; its Hermitian test reads the block norms
+    M.is_hnnd(hamburger_measure_sequence(rng, 2, 5))
     assert (factorizations["eigh"], factorizations["eigvalsh"]) == (0, 1)
     loewner_leq(A, B)
     assert (factorizations["eigh"], factorizations["eigvalsh"]) == (0, 2)
@@ -1002,7 +1002,6 @@ def _verdict_calls(s, alpha, A, V):
         ("is_knnde", lambda: (M.is_knnde(s, alpha),)),
         ("classify_hamburger", lambda: (lambda r: (r.is_hnnd, r.is_hnnde))(M.classify_hamburger(s))),
         ("classify_stieltjes", lambda: (lambda r: (r.is_knnd, r.is_knnde))(M.classify_stieltjes(s, alpha))),
-        ("psd_verdict", lambda: (psd_verdict(A),)),
         ("loewner_leq", lambda: (loewner_leq(A, 2 * A), loewner_leq(2 * A, A))),
         ("in_lcr", lambda: (M.in_lcr(A, V, 0 * A), M.in_lcr(A, V, A))),
         ("is_unique_split", lambda: (M.is_unique_split(A, V, 0 * A, A), M.is_unique_split(A, V, A, 0 * A))),
@@ -1046,4 +1045,4 @@ def test_every_public_verdict_is_a_python_bool():
                 assert type(value) is bool, (name, type(value))
                 seen.setdefault(name.split("[")[0], set()).add(value)
     assert set().union(*seen.values()) == {True, False}
-    assert len(seen) == 16, sorted(seen)
+    assert len(seen) == 15, sorted(seen)

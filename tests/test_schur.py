@@ -37,13 +37,13 @@ from momentschur import (
 )
 from momentschur import cli
 from momentschur.linalg import (
+    _psd_floor,
     _root_factor,
     as_matrix,
     as_tolerance,
     frobenius,
     herm_part,
     numerical_rank,
-    psd_verdict,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -434,8 +434,9 @@ def _rank_above(M, thr):
 def recomputed_report(A, V, t):
     """The reference: schur_report's ranks and checks, each recomputed from scratch.
 
-    ran A and every rank come from SVDs of their own, and S_psd from a PSD
-    verdict on S, as the schur command once computed them beside the kernel.
+    ran A and every rank come from SVDs of their own, and S_psd from numpy's
+    own eigvalsh of S under the PSD floor, as the schur command once computed
+    them beside the kernel.
     dim(ran A ∩ V) is rank A + dim V - rank [A / max(1, ||A||_F), V], so
     that V's unit columns count at every scale of A.  The remainder
     Y = A - S meets V only in 0 when W^H Y, W a basis of V-perp, has the rank
@@ -450,7 +451,7 @@ def recomputed_report(A, V, t):
     rank_S = numerical_rank(result.S, t)
     cap_dim = range_A.dim + V.dim - numerical_rank(np.hstack([M / max(1.0, norm), V.basis]), t)
     checks = {
-        "S_psd": psd_verdict(result.S, t),
+        "S_psd": _psd_floor(np.linalg.eigvalsh(herm_part(result.S)), as_tolerance(t)),
         "S_leq_A": loewner_leq(result.S, M, t),
         "range_S_in_V": V.contains(result.S, t),
         "range_S_in_range_A": range_A.contains(result.S, t),

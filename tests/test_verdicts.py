@@ -2,7 +2,9 @@
 
 Extendability is nonnegative definiteness plus the range condition on the
 last slack, so ``is_hnnde`` implies ``is_hnnd`` and ``is_knnde`` implies
-``is_knnd`` on every input, rounding included.
+``is_knnd`` on every input, rounding included.  The Hermitian test is made
+once per block, so no verdict on a sequence called nonnegative definite
+finds it not Hermitian.
 """
 
 import numpy as np
@@ -71,3 +73,50 @@ def test_exact_moments_whose_last_slack_vanishes_are_extendable(length):
     # the range condition holds, though at lower levels it does not
     _, alpha, s = stieltjes_draw([16, 28], length)
     assert verdicts(s, alpha) == (True, True)
+
+
+def _skew_part(rng, q, size):
+    """A random anti-Hermitian q x q block K with ||K - K^H||_F = size."""
+    G = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+    K = G - G.conj().T
+    return K * (size / np.linalg.norm(K - K.conj().T))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(alpha=st.sampled_from([None, -1.0, -0.5, 0.5, 2.0]), q=st.integers(1, 3),
+       place=st.sampled_from(["last", "one", "every"]), factor=st.floats(0.3, 3.0),
+       seed=st.integers(0, 2**16))
+def test_no_verdict_finds_a_sequence_called_nnd_not_hermitian(alpha, q, place, factor, seed):
+    """Measure moments with an anti-Hermitian part of factor * 1e-10 times
+    the working scale on the last block, on one block or on every block:
+    where is_*nnd holds, classify and both interval bounds, given a
+    Hermitian candidate, raise no NotHermitian.  NotPSD from the slack clip
+    is ROADMAP item 1's fault and is not asserted on here."""
+    rng = np.random.default_rng(seed)
+    if alpha is None:
+        s = hamburger_measure_sequence(rng, q, 2 * int(rng.integers(1, 5)) + 1)
+    else:
+        s = stieltjes_measure_sequence(rng, alpha, q, int(rng.integers(3, 9)))
+    blocks = [b.copy() for b in s]
+    scale = (1.0 + abs(alpha or 0.0)) * max(np.linalg.norm(b) for b in blocks)
+    where = {"last": [len(s) - 1], "one": [int(rng.integers(len(s)))], "every": range(len(s))}[place]
+    for j in where:
+        blocks[j] += _skew_part(rng, q, factor * 1e-10 * max(1.0, scale))
+    s = M.MomentSequence(blocks)
+    extendable, nnd = verdicts(s, alpha)
+    assert nnd or not extendable
+    if not nnd:
+        return
+    last = s[s.kappa]
+    T = (last + last.conj().T) / 2
+    if alpha is None:
+        calls = [lambda: M.classify_hamburger(s)]
+        calls += [lambda b=b: M.in_extension_interval(s, T, b) for b in ("given_s2n", "r_upper")]
+    else:
+        calls = [lambda: M.classify_stieltjes(s, alpha)]
+        calls += [lambda b=b: M.in_extension_interval_stieltjes(s, alpha, T, b) for b in ("given_sm", "r_upper")]
+    for call in calls:
+        try:
+            call()
+        except M.NotPSD:
+            pass
